@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tsplib import Instance, MetricMode, Tour, distance_matrix, sub_distance_matrix
+from .tsplib import (
+    Instance,
+    MetricMode,
+    Tour,
+    cycle_length,
+    distance_matrix,
+    sub_distance_matrix,
+)
 
 PHEROMONE_FLOOR = 1e-12
 ZERO_DIST_GUARD = 1e-9
@@ -129,13 +136,6 @@ def update_pheromone(tau: np.ndarray, best: Tour, length: float, params: AcoPara
     return out
 
 
-def _cycle_len(D, order) -> float:
-    total = 0.0
-    for a, b in zip(order, order[1:] + order[:1]):
-        total += D[a, b]
-    return float(total)
-
-
 def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: int = 0,
               metric: MetricMode = MetricMode.CANONICAL, initial_tour: Tour = None,
               D: np.ndarray = None):
@@ -163,14 +163,14 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
     best_len = np.inf
     if initial_tour is not None:
         best_tour = initial_tour
-        best_len = _cycle_len(D, initial_tour.order)
+        best_len = cycle_length(D, initial_tour.order)
 
     history = []
     for it in range(1, params.iterations + 1):
         for ant in range(params.n_ants):
             rng = np.random.default_rng(seed_words + [it, ant])
             tour = _construct(D, tau, eta, params, rng)
-            length = _cycle_len(D, tour.order)
+            length = cycle_length(D, tour.order)
             if length < best_len:
                 best_tour, best_len = tour, length
         tau = update_pheromone(tau, best_tour, best_len, params)

@@ -294,7 +294,8 @@ def sweep_deviation(level_medians: dict, baseline: float) -> float:
 
 def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMode,
                     out_dir: str, levels=DEFAULT_NOISE_LEVELS,
-                    qaco_params=QacoParams(), hybrid_overrides=None) -> dict:
+                    qaco_params=QacoParams(), hybrid_overrides=None,
+                    aco_params=AcoParams()) -> dict:
     """QACO-hybrid at each noise level plus a noiseless baseline.
 
     Deviation(%) is the maximum relative deviation of a per-level median from
@@ -311,7 +312,7 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
     records = run_cells(
         cells,
         lambda cell: run_single(inst, "qaco-hybrid", cell[1], cell[0], metric,
-                                qaco_params, AcoParams(), hybrid_overrides),
+                                qaco_params, aco_params, hybrid_overrides),
     )
     write_records_csv(records, os.path.join(out_dir, "results.csv"), append=True)
     write_records_json(records, os.path.join(out_dir, "results.json"), append=True)
@@ -451,3 +452,25 @@ def build_qaco_params(overrides: dict = None) -> QacoParams:
 
 def build_aco_params(overrides: dict = None) -> AcoParams:
     return dataclasses.replace(AcoParams(), **(overrides or {}))
+
+
+def build_hybrid_overrides(overrides: dict = None):
+    """A config's ``hybrid`` block as ``HybridConfig`` keywords, or None if empty.
+
+    ``refinement`` is converted from its name (``"aco-polish"``) to the
+    ``Refinement`` member.  The leaf solver follows from the solver name, so
+    the block may not set ``leaf_solver``.
+    """
+    if not overrides:
+        return None
+    out = dict(overrides)
+    if "leaf_solver" in out:
+        raise ConfigError("hybrid.leaf_solver is set by the solver name "
+                          "(qaco-hybrid | clustered-aco)")
+    if "refinement" in out:
+        names = [r.value for r in Refinement]
+        if out["refinement"] not in names:
+            raise ConfigError(f"unknown refinement {out['refinement']!r} "
+                              f"(expected {'|'.join(names)})")
+        out["refinement"] = Refinement(out["refinement"])
+    return out

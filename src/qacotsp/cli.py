@@ -113,7 +113,7 @@ def _dispatch(args) -> int:
             bench.parse_metric(cfg["metric"]), cfg["out"],
             bench.build_qaco_params(cfg["qaco_params"]),
             bench.build_aco_params(cfg["aco_params"]),
-            cfg["hybrid"] or None,
+            bench.build_hybrid_overrides(cfg["hybrid"]),
         )
         for rec in records:
             print(f"{rec.dataset} {rec.solver} seed={rec.seed} "
@@ -135,7 +135,7 @@ def _dispatch(args) -> int:
             cfg["out"], cfg["optima"],
             bench.build_qaco_params(cfg["qaco_params"]),
             bench.build_aco_params(cfg["aco_params"]),
-            cfg["hybrid"] or None,
+            bench.build_hybrid_overrides(cfg["hybrid"]),
         )
         print(f"{'dataset':<16}{'optimum':>10}{'ACO':>14}{'QACO':>14}{'ClusteredACO':>14}")
         for row in rows:
@@ -148,7 +148,7 @@ def _dispatch(args) -> int:
         cfg = _merged(args, {
             "instance": None, "noise": None, "metric": "canonical",
             "seeds": "0,1,2,3,4", "out": "runs", "levels": None,
-            "qaco_params": {}, "hybrid": {},
+            "qaco_params": {}, "aco_params": {}, "hybrid": {},
         })
         if not cfg["instance"] or not cfg["noise"]:
             raise ConfigError("--instance and --noise are required")
@@ -159,7 +159,9 @@ def _dispatch(args) -> int:
         summary = bench.cmd_noise_sweep(
             cfg["instance"], cfg["noise"], _seeds(cfg["seeds"]),
             bench.parse_metric(cfg["metric"]), cfg["out"], levels,
-            bench.build_qaco_params(cfg["qaco_params"]), cfg["hybrid"] or None,
+            bench.build_qaco_params(cfg["qaco_params"]),
+            bench.build_hybrid_overrides(cfg["hybrid"]),
+            bench.build_aco_params(cfg["aco_params"]),
         )
         print(f"ideal median: {summary['baseline']:.4f}")
         for lvl, med in summary["levels"].items():

@@ -32,6 +32,10 @@ from .tsplib import (
 )
 
 
+class InvariantError(RuntimeError):
+    """A pipeline invariant failed: a stitched or refined tour is malformed."""
+
+
 class LeafSolver(enum.Enum):
     QACO = "qaco"
     CLASSICAL_ACO = "aco"
@@ -160,7 +164,8 @@ def stitch(subtours: list, inst: Instance, metric: MetricMode = MetricMode.CANON
     for nxt in cycles[1:]:
         merged, _ = _merge_two_cycles(merged, nxt, D)
     union = sorted(itertools.chain.from_iterable(s.indices for s in subtours))
-    assert sorted(merged) == union, "stitched cycle must cover the union exactly"
+    if sorted(merged) != union:
+        raise InvariantError("stitched cycle must cover the union exactly")
     rank = {city: pos for pos, city in enumerate(union)}
     return Tour(tuple(rank[c] for c in merged))
 
@@ -240,7 +245,8 @@ def _solve_node(inst, tree: ClusterTree, config, seed_counter, D, stats) -> SubS
     tour = stitch(ordered, inst, config.metric, D=D)
     union = tuple(sorted(itertools.chain.from_iterable(s.indices for s in ordered)))
     cycle = [union[p] for p in tour.order]
-    assert validate_tour(tour.order, len(union))
+    if not validate_tour(tour.order, len(union)):
+        raise InvariantError(f"stitched tour is not a permutation of {len(union)} cities")
     length = cycle_length(D, cycle)
     return SubSolution(union, tour, float(length))
 
@@ -266,7 +272,8 @@ def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
     stats.tree_depth = tree.depth()
 
     root = _solve_node(inst, tree, config, itertools.count(), D, stats)
-    assert root.indices == tuple(range(inst.dimension))
+    if root.indices != tuple(range(inst.dimension)):
+        raise InvariantError(f"cluster tree does not cover the {inst.dimension} cities")
     stitched = root.tour
     stats.stitched_length = root.length
     stats.stitch_cost = root.length - sum(stats.leaf_lengths)
@@ -287,7 +294,9 @@ def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
         refined = stitched
 
     length = cycle_length(D, refined.order)
-    assert length <= stats.stitched_length + 1e-9
+    if not length <= stats.stitched_length + 1e-9:
+        raise InvariantError(f"refinement lengthened the tour: {length!r} > "
+                             f"{stats.stitched_length!r}")
     stats.refined_length = float(length)
     stats.refinement_gain = stats.stitched_length - stats.refined_length
     stats.wall_ms = (time.perf_counter() - start) * 1000.0

@@ -8,17 +8,44 @@ iteration's best bitstring against the global best.  Infeasible measurements
 are repaired either randomly (early iterations) or by drawing a pool tour
 with probability inversely proportional to Hamming distance.  When the global
 best stalls, a measured ancilla qubit gates a one-bit mutation.
+
+Inside the solver a measurement is an int code of 2k bits, not a string.
+Qubit 0 is the most significant bit, as in ``qsim``, so position i's city
+sits in bits 2(k-1-i)+1 and 2(k-1-i) and the code of tour (2, 0, 1) is
+0b100001.  A per-solve table maps each of the 4^k codes to its ``Tour``, or
+to None when the code repeats a city or names one >= k, and the k! cycle
+lengths are computed once per solve.  The bitstring helpers
+(``encode_tour``, ``decode_bits``, ``hamming``, ``repair_infeasible``,
+``maybe_mutate``, ``rotation_update``) convert at their boundary and call the
+same code.  ``SolutionPool`` entries keep bitstrings for every caller; the
+solver mirrors their int codes in a list it rebuilds when the pool changes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qsim import NO_NOISE, NoiseSpec, clamp_angle, noisy_sample, sample_ancilla
-from .tsplib import Instance, MetricMode, Tour, distance_matrix, sub_distance_matrix
+from .qsim import (
+    NO_NOISE,
+    NoiseSpec,
+    clamp_angle,
+    measurement_probabilities,
+    sample_ancilla,
+    sample_code,
+)
+from .tsplib import (
+    Instance,
+    MetricMode,
+    Tour,
+    cycle_length,
+    distance_matrix,
+    sub_distance_matrix,
+)
 
 MAX_CITIES = 4  # 2 bits per position, 8 path qubits
 
@@ -52,6 +79,14 @@ class TooFewCities(ValueError):
 
 class LengthMismatch(ValueError):
     pass
+
+
+class RepairError(ValueError):
+    """The Hamming-repair probabilities do not sum to 1.
+
+    Happens when the measurement equals a pooled encoding (distance 0), i.e.
+    when a feasible measurement is passed to the repair.
+    """
 
 
 @dataclass(frozen=True)
@@ -91,17 +126,16 @@ class SolutionPool:
     entries: list = field(default_factory=list)
 
     def add(self, tour: Tour, bits: str, length: float) -> bool:
-        if any(e.bits == bits for e in self.entries):
-            return False
-        if len(self.entries) >= self.capacity:
-            if length >= self.entries[-1].length:
+        entries = self.entries
+        for e in entries:
+            if e.bits == bits:
                 return False
-            self.entries.pop()
-        entry = PoolEntry(tour, bits, length)
-        pos = 0
-        while pos < len(self.entries) and self.entries[pos].length <= length:
-            pos += 1
-        self.entries.insert(pos, entry)
+        if len(entries) >= self.capacity:
+            if length >= entries[-1].length:
+                return False
+            entries.pop()
+        pos = bisect_right([e.length for e in entries], length)
+        entries.insert(pos, PoolEntry(tour, bits, length))
         return True
 
 
@@ -115,29 +149,74 @@ class QacoResult:
     repairs: int
 
 
+def _encode(order) -> int:
+    code = 0
+    for city in order:
+        code = (code << 2) | city
+    return code
+
+
+def _decode_table(k: int) -> list:
+    """The ``Tour`` of each of the 4^k codes of a k-city register, or None."""
+    table = [None] * (1 << (2 * k))
+    for perm in itertools.permutations(range(k)):
+        table[_encode(perm)] = Tour(perm)
+    return table
+
+
 def encode_tour(tour: Tour, k: int) -> str:
     """Concatenated 2-bit big-endian city indices, one pair per position."""
     if k > MAX_CITIES:
         raise TooManyCities(f"2-bit encoding holds at most {MAX_CITIES} cities")
     if len(tour.order) != k:
         raise LengthMismatch(f"tour of {len(tour.order)} cities, expected {k}")
-    return "".join(format(city, "02b") for city in tour.order)
+    return format(_encode(tour.order), f"0{2 * k}b")
 
 
 def decode_bits(bits: str, k: int):
     """Tour for a feasible 2k-bit measurement, else None (bits kept by caller)."""
     if len(bits) != 2 * k:
         raise LengthMismatch(f"expected {2 * k} bits, got {len(bits)}")
-    cities = [int(bits[2 * i: 2 * i + 2], 2) for i in range(k)]
-    if any(c >= k for c in cities) or len(set(cities)) != k:
-        return None
-    return Tour(tuple(cities))
+    # 2-bit fields cannot name more than MAX_CITIES distinct cities.
+    return _decode_table(k)[int(bits, 2)] if k <= MAX_CITIES else None
 
 
 def hamming(a: str, b: str) -> int:
+    """Differing positions of two equal-length bitstrings.
+
+    Both must consist of '0' and '1' only (ValueError otherwise); two empty
+    strings are at distance 0.
+    """
     if len(a) != len(b):
         raise LengthMismatch(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(ca != cb for ca, cb in zip(a, b))
+    return (int("0" + a, 2) ^ int("0" + b, 2)).bit_count()
+
+
+def _repair_cdf(distances) -> list:
+    """Cumulative pick probabilities p_i = (d_i * sum_j 1/d_j)^-1, pool order."""
+    inv = 1.0 / np.array(distances, dtype=float)
+    probs = inv / inv.sum()
+    total = probs.sum()
+    if not abs(total - 1.0) <= 1e-12:
+        raise RepairError(f"repair probabilities sum to {total!r} for distances {distances}")
+    return np.cumsum(probs).tolist()
+
+
+def _repair(code: int, pool_codes: list, iteration: int, k: int, rng: np.random.Generator,
+            cdfs: dict, window: int) -> int:
+    """Code of the feasible tour that replaces the infeasible measurement ``code``.
+
+    ``cdfs`` caches ``_repair_cdf`` by distance tuple; a solve sees few
+    distinct tuples.  ``bisect_right`` is ``searchsorted(side="right")``.
+    """
+    if iteration <= window or not pool_codes:
+        return _encode(rng.permutation(k).tolist())
+    d = tuple([(code ^ c).bit_count() for c in pool_codes])
+    cdf = cdfs.get(d)
+    if cdf is None:
+        cdf = cdfs[d] = _repair_cdf(d)
+    pick = bisect_right(cdf, rng.random() * cdf[-1])
+    return pool_codes[min(pick, len(pool_codes) - 1)]
 
 
 def repair_infeasible(bits: str, pool: SolutionPool, iteration: int, k: int,
@@ -149,17 +228,28 @@ def repair_infeasible(bits: str, pool: SolutionPool, iteration: int, k: int,
     replacement is a uniformly random permutation.  Afterwards pool entry i
     is drawn with probability  p_i = (d_i * sum_j 1/d_j)^-1  where d_i is the
     Hamming distance between ``bits`` and the entry's encoding; an infeasible
-    bitstring never equals a feasible encoding, so every d_i >= 1.
+    bitstring never equals a feasible encoding, so every d_i >= 1.  Raises
+    ``RepairError`` when the probabilities do not sum to 1 within 1e-12, and
+    ``TooManyCities`` for k > MAX_CITIES, which the 2-bit encoding cannot hold.
     """
-    if iteration <= window or not pool.entries:
-        return Tour(tuple(int(v) for v in rng.permutation(k)))
-    d = np.array([hamming(bits, e.bits) for e in pool.entries], dtype=float)
-    inv = 1.0 / d
-    probs = inv / inv.sum()
-    assert abs(probs.sum() - 1.0) <= 1e-12
-    cdf = np.cumsum(probs)
-    pick = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return pool.entries[min(pick, len(pool.entries) - 1)].tour
+    if k > MAX_CITIES:
+        raise TooManyCities(f"2-bit encoding holds at most {MAX_CITIES} cities")
+    pool_codes = [int(e.bits, 2) for e in pool.entries]
+    code = _repair(int(bits, 2), pool_codes, iteration, k, rng, {}, window)
+    return _decode_table(k)[code]
+
+
+def _rotate(thetas: list, x: int, b: int, worse: bool, table) -> list:
+    """``rotation_update`` on a list of angles, with x and b as int codes."""
+    new = []
+    shift = len(thetas)
+    for theta in thetas:
+        shift -= 1
+        delta, starred = table[((x >> shift) & 1, (b >> shift) & 1, worse)]
+        if starred and math.sin(theta) * math.cos(theta) < 0.0:
+            delta = -delta
+        new.append(clamp_angle(theta + delta))
+    return new
 
 
 def rotation_update(reg: PheromoneRegister, x: str, b: str, fx: float, fb: float,
@@ -177,14 +267,16 @@ def rotation_update(reg: PheromoneRegister, x: str, b: str, fx: float, fb: float
         table = ROTATION_TABLE
     if len(x) != len(reg.thetas) or len(b) != len(reg.thetas):
         raise LengthMismatch("bitstring length must equal register size")
-    worse = fx > fb
-    new = np.empty_like(reg.thetas)
-    for i, theta in enumerate(reg.thetas):
-        delta, starred = table[(int(x[i]), int(b[i]), worse)]
-        if starred and math.sin(theta) * math.cos(theta) < 0.0:
-            delta = -delta
-        new[i] = clamp_angle(theta + delta)
-    return PheromoneRegister(new)
+    new = _rotate(reg.thetas.tolist(), int(x, 2), int(b, 2), bool(fx > fb), table)
+    return PheromoneRegister(np.array(new, dtype=float))
+
+
+def _mutate(code: int, n_bits: int, noise: NoiseSpec, rng: np.random.Generator) -> int:
+    """The ancilla gate of ``maybe_mutate`` on an int code of ``n_bits`` bits."""
+    theta_m = rng.uniform(0.0, math.pi / 2.0)
+    if sample_ancilla(theta_m, noise, rng) == 1:
+        code ^= 1 << (n_bits - 1 - int(rng.integers(n_bits)))
+    return code
 
 
 def maybe_mutate(bits: str, stagnant_iters: int, params: QacoParams,
@@ -197,18 +289,7 @@ def maybe_mutate(bits: str, stagnant_iters: int, params: QacoParams,
     """
     if stagnant_iters < params.stall_window:
         return bits
-    theta_m = rng.uniform(0.0, math.pi / 2.0)
-    if sample_ancilla(theta_m, noise, rng) == 1:
-        pos = int(rng.integers(len(bits)))
-        bits = bits[:pos] + ("0" if bits[pos] == "1" else "1") + bits[pos + 1:]
-    return bits
-
-
-def _cycle_len(D, order) -> float:
-    total = 0.0
-    for a, b in zip(order, order[1:] + order[:1]):
-        total += D[a, b]
-    return float(total)
+    return format(_mutate(int(bits, 2), len(bits), noise, rng), f"0{len(bits)}b")
 
 
 def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
@@ -216,9 +297,9 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
                seed=0, D: np.ndarray = None) -> QacoResult:
     """Solve a <= 4-city subproblem with the quantum-sampled colony.
 
-    The per-iteration loop: sample one bitstring per ant, decode, repair
+    The per-iteration loop: sample one measurement per ant, decode, repair
     infeasible samples, evaluate, feed the pool and the global best, then
-    (when stalled) pass the representative bitstrings through the mutation
+    (when stalled) pass the representative measurements through the mutation
     gate and finally rotate the register toward the global best using the
     iteration best.  Stops at max_iter or once the global best has not
     improved for convergence_window iterations.  The returned tour is in
@@ -235,15 +316,20 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
 
     if k == 2:
         tour = Tour((0, 1))
-        length = _cycle_len(D, tour.order)
+        length = cycle_length(D, tour.order)
         return QacoResult(tour, length, 0, [length], 0, 0)
 
     rng = np.random.default_rng(seed)
-    register = PheromoneRegister.uniform(k)
+    n_bits = 2 * k
+    tours = _decode_table(k)
+    lengths = [None if t is None else cycle_length(D, t.order) for t in tours]
+    bitstrings = [None if t is None else format(c, f"0{n_bits}b") for c, t in enumerate(tours)]
+    thetas = PheromoneRegister.uniform(k).thetas.tolist()
     pool = SolutionPool(params.pool_capacity)
-    best_tour = None
+    pool_codes = []  # int codes of the pool entries, in pool order
+    cdfs = {}
+    best_code = None
     best_len = math.inf
-    best_bits = None
     stagnant = 0
     history = []
     mutations = 0
@@ -252,39 +338,39 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
 
     for it in range(1, params.max_iter + 1):
         iterations = it
-        iter_tour, iter_len, iter_idx = None, math.inf, 0
-        ant_bits = []
+        p1, q1 = measurement_probabilities(thetas)
+        iter_len, iter_idx = math.inf, 0
+        codes = []
         for ant in range(params.n_ants):
-            sampled = noisy_sample(register.thetas, noise, rng)
-            tour = decode_bits(sampled, k)
-            if tour is None:
-                tour = repair_infeasible(sampled, pool, it, k, rng)
+            code = sample_code(p1, q1, noise, rng)
+            if tours[code] is None:
+                code = _repair(code, pool_codes, it, k, rng, cdfs, RANDOM_FEASIBLE_WINDOW)
                 repairs += 1
-            length = _cycle_len(D, tour.order)
-            bits = encode_tour(tour, k)
-            pool.add(tour, bits, length)
-            ant_bits.append(bits)
+            length = lengths[code]
+            if pool.add(tours[code], bitstrings[code], length):
+                pool_codes = [int(e.bits, 2) for e in pool.entries]
+            codes.append(code)
             if length < iter_len:
-                iter_tour, iter_len, iter_idx = tour, length, ant
+                iter_len, iter_idx = length, ant
 
         if iter_len < best_len:
-            best_tour, best_len = iter_tour, iter_len
-            best_bits = ant_bits[iter_idx]
+            best_code, best_len = codes[iter_idx], iter_len
             stagnant = 0
         else:
             stagnant += 1
 
-        for ant in range(params.n_ants):
-            mutated = maybe_mutate(ant_bits[ant], stagnant, params, noise, rng)
-            if mutated != ant_bits[ant]:
-                mutations += 1
-                ant_bits[ant] = mutated
+        if stagnant >= params.stall_window:
+            for ant in range(params.n_ants):
+                mutated = _mutate(codes[ant], n_bits, noise, rng)
+                if mutated != codes[ant]:
+                    mutations += 1
+                    codes[ant] = mutated
 
-        register = rotation_update(
-            register, ant_bits[iter_idx], best_bits, iter_len, best_len
-        )
+        thetas = _rotate(thetas, codes[iter_idx], best_code, iter_len > best_len,
+                         ROTATION_TABLE)
         history.append(best_len)
         if stagnant >= params.convergence_window:
             break
 
+    best_tour = None if best_code is None else tours[best_code]
     return QacoResult(best_tour, float(best_len), iterations, history, mutations, repairs)

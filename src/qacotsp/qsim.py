@@ -153,6 +153,57 @@ def ry_product_state(thetas) -> StateVector:
     return StateVector(len(thetas), amps)
 
 
+def measurement_probabilities(thetas):
+    """Per-qubit probability of reading 1 from Ry(theta)|0>.
+
+    Returns two lists of floats: ``p1`` for the qubits as prepared and ``q1``
+    for the qubits after a net X (cos and sin amplitudes swapped), both as
+    a1^2 / (a0^2 + a1^2).  The amplitudes come from numpy's cos and sin, and
+    squares are taken as ``x * x``, which is what numpy's array ``a ** 2``
+    computes; Python's ``x ** 2`` calls ``pow`` and can differ in the last
+    bit.
+    """
+    p1, q1 = [], []
+    for theta in thetas:
+        a0, a1 = float(np.cos(theta / 2.0)), float(np.sin(theta / 2.0))
+        c2, s2 = a0 * a0, a1 * a1
+        p1.append(s2 / (c2 + s2))
+        q1.append(c2 / (s2 + c2))
+    return p1, q1
+
+
+def sample_code(p1, q1, noise: NoiseSpec, rng: np.random.Generator) -> int:
+    """One noisy measurement of a product register, as an int code.
+
+    ``p1``/``q1`` come from ``measurement_probabilities``.  Bit ``n-1-i`` of
+    the code is qubit ``i`` (qubit 0 is the most significant bit), so
+    ``format(code, f"0{n}b")`` is the bitstring of ``noisy_sample``.
+
+    Draw order (fixed for reproducibility): the after-gate noise array, then
+    the pre-measurement flip array (bit flip) or the dephasing array
+    (thermal), then the measurement array, each ``rng.random(n)`` indexed by
+    qubit.  Two bit flips cancel; a thermal reset leaves |0>, which reads 0;
+    dephasing flips the sign of the |1> amplitude and so never changes the
+    outcome, but its array is still drawn.
+    """
+    n = len(p1)
+    probs = p1
+    if noise.kind is NoiseKind.BIT_FLIP and noise.rate > 0.0:
+        rate = noise.rate
+        gate, meas = rng.random(n).tolist(), rng.random(n).tolist()
+        probs = [q if (g < rate) != (m < rate) else p
+                 for p, q, g, m in zip(p1, q1, gate, meas)]
+    elif noise.kind is NoiseKind.THERMAL_RELAXATION and noise.rate > 0.0:
+        rate = noise.rate
+        reset = rng.random(n).tolist()
+        rng.random(n)  # dephasing
+        probs = [0.0 if r < rate else p for p, r in zip(p1, reset)]
+    code = 0
+    for r, p in zip(rng.random(n).tolist(), probs):
+        code = (code << 1) | (r < p)
+    return code
+
+
 def noisy_sample(thetas, noise: NoiseSpec, rng: np.random.Generator) -> str:
     """One measurement of the path register prepared as a product of Ry gates.
 
@@ -160,34 +211,14 @@ def noisy_sample(thetas, noise: NoiseSpec, rng: np.random.Generator) -> str:
     listed in the module docstring.  The register is a product state with
     strictly per-qubit noise events, so each qubit is simulated as its own
     2-amplitude vector; the sampled distribution is identical to evolving the
-    full 2^n statevector trajectory.
-
-    Draw order (fixed for reproducibility): the after-gate noise arrays, then
-    the pre-measurement flip array (bit flip only), then the measurement
-    array, each indexed by qubit.
+    full 2^n statevector trajectory.  The draw order is ``sample_code``'s.
     """
     thetas = np.asarray(thetas, dtype=float)
     if not np.all(np.isfinite(thetas)):
         raise AngleOutOfRange("angles must be finite")
     n = len(thetas)
-    a0 = np.cos(thetas / 2.0)
-    a1 = np.sin(thetas / 2.0)
-
-    if noise.kind is NoiseKind.BIT_FLIP and noise.rate > 0.0:
-        flip_gate = rng.random(n) < noise.rate
-        a0, a1 = np.where(flip_gate, a1, a0), np.where(flip_gate, a0, a1)
-        flip_meas = rng.random(n) < noise.rate
-        a0, a1 = np.where(flip_meas, a1, a0), np.where(flip_meas, a0, a1)
-    elif noise.kind is NoiseKind.THERMAL_RELAXATION and noise.rate > 0.0:
-        reset = rng.random(n) < noise.rate
-        a0 = np.where(reset, 1.0, a0)
-        a1 = np.where(reset, 0.0, a1)
-        dephase = rng.random(n) < noise.rate / 2.0
-        a1 = np.where(dephase, -a1, a1)
-
-    p1 = a1 ** 2 / (a0 ** 2 + a1 ** 2)
-    bits = rng.random(n) < p1
-    return "".join("1" if b else "0" for b in bits)
+    code = sample_code(*measurement_probabilities(thetas.tolist()), noise, rng)
+    return format(code, f"0{n}b") if n else ""
 
 
 def sample_ancilla(theta: float, noise: NoiseSpec, rng: np.random.Generator) -> int:
@@ -198,4 +229,4 @@ def sample_ancilla(theta: float, noise: NoiseSpec, rng: np.random.Generator) -> 
     """
     if not (0.0 <= theta <= math.pi / 2.0 + 1e-12):
         raise AngleOutOfRange(f"ancilla angle must be in [0, pi/2], got {theta}")
-    return int(noisy_sample([theta], noise, rng)[0])
+    return sample_code(*measurement_probabilities([theta]), noise, rng)

@@ -9,6 +9,7 @@ from qacotsp import cli
 from qacotsp.bench import (
     CSV_HEADER,
     ConfigError,
+    build_hybrid_overrides,
     cmd_compare,
     cmd_estimate_error,
     cmd_noise_sweep,
@@ -23,6 +24,7 @@ from qacotsp.bench import (
 )
 from qacotsp.qaco import QacoParams
 from qacotsp.aco import AcoParams
+from qacotsp.hybrid import Refinement
 from qacotsp.qsim import NoiseSpec
 from qacotsp.tsplib import (
     MetricMode,
@@ -167,6 +169,36 @@ def test_noise_sweep_zero_rate_zero_deviation(tmp_path):
                               str(tmp_path / "runs"), levels=[0.0],
                               qaco_params=FAST_QACO, hybrid_overrides=FAST_HYBRID)
     assert summary["deviation"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cli_noise_sweep_passes_aco_params_to_polish(tmp_path):
+    # the config's refinement name must select aco-polish, and its aco_params
+    # must reach the polish
+    texts = []
+    for name, aco_params in (("default", {}), ("greedy-off", {"q0": 0.0})):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({
+            "qaco_params": {"max_iter": 80, "convergence_window": 40, "stall_window": 20},
+            "aco_params": aco_params,
+            "hybrid": {"kmeans_restarts": 3, "refinement": "aco-polish",
+                       "polish_iterations": 5},
+        }))
+        out = tmp_path / name
+        assert cli.main(["noise-sweep", "--instance", "random:12:13:100", "--noise", "bitflip",
+                         "--seeds", "0", "--levels", "0.05", "--metric", "paper",
+                         "--out", str(out), "--config", str(config)]) == 0
+        texts.append((out / "results.csv").read_text())
+    assert texts[0] != texts[1]
+
+
+def test_build_hybrid_overrides_converts_and_rejects():
+    assert build_hybrid_overrides({}) is None
+    assert build_hybrid_overrides({"refinement": "aco-polish", "leaf_max": 3}) == {
+        "refinement": Refinement.ACO_POLISH, "leaf_max": 3}
+    with pytest.raises(ConfigError):
+        build_hybrid_overrides({"refinement": "3-opt"})
+    with pytest.raises(ConfigError):
+        build_hybrid_overrides({"leaf_solver": "brute"})
 
 
 def test_noise_sweep_requires_noisy_kind(tmp_path):

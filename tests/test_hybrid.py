@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from qacotsp import hybrid
+from qacotsp.cluster import ClusterTree
 from qacotsp.hybrid import (
     HybridConfig,
+    InvariantError,
     LeafSolver,
     Refinement,
     SubSolution,
@@ -270,3 +273,41 @@ def test_brute_force_order_small():
     tour = brute_force_order(D)
     length = sum(D[tour.order[i], tour.order[(i + 1) % 4]] for i in range(4))
     assert length == pytest.approx(4.0)
+
+
+# ---------------------------------------------------------------------------
+# invariant checks (explicit raises, kept under python -O)
+
+
+def test_stitch_raises_when_union_not_covered():
+    inst = gen_random_instance(3, 1, 100.0)
+    broken = SubSolution((0, 1, 2), Tour((1, 0)), 1.0)  # city 2 never visited
+    with pytest.raises(InvariantError):
+        stitch([broken], inst, MetricMode.PLAIN)
+
+
+def test_solve_hybrid_raises_on_malformed_stitched_tour(monkeypatch):
+    monkeypatch.setattr(hybrid, "stitch", lambda subs, inst, metric, D: Tour((0, 1)))
+    with pytest.raises(InvariantError):
+        solve_hybrid(gen_random_instance(9, 2, 100.0),
+                     HybridConfig(seed=0, metric=MetricMode.PLAIN, kmeans_restarts=1))
+
+
+def test_solve_hybrid_raises_when_tree_misses_cities(monkeypatch):
+    monkeypatch.setattr(hybrid, "build_cluster_tree",
+                        lambda inst, **kwargs: ClusterTree((0, 1, 2)))
+    with pytest.raises(InvariantError):
+        solve_hybrid(gen_random_instance(6, 3, 100.0),
+                     HybridConfig(seed=0, metric=MetricMode.PLAIN))
+
+
+def test_solve_hybrid_raises_when_refinement_lengthens(monkeypatch):
+    inst = gen_random_instance(8, 4, 100.0)
+    D = distance_matrix(inst, MetricMode.PLAIN)
+    base = dict(seed=0, metric=MetricMode.PLAIN, kmeans_restarts=1)
+    _, stitched_len, _ = solve_hybrid(inst, HybridConfig(refinement=Refinement.NONE, **base))
+    worst = max(itertools.permutations(range(8)),
+                key=lambda order: sum(D[a, b] for a, b in zip(order, order[1:] + order[:1])))
+    monkeypatch.setattr(hybrid, "two_opt", lambda tour, *args, **kwargs: Tour(worst))
+    with pytest.raises(InvariantError):
+        solve_hybrid(inst, HybridConfig(refinement=Refinement.TWO_OPT, **base))

@@ -10,6 +10,7 @@ from qacotsp.qaco import (
     LengthMismatch,
     PheromoneRegister,
     QacoParams,
+    RepairError,
     SolutionPool,
     TooFewCities,
     TooManyCities,
@@ -68,6 +69,12 @@ def test_hamming():
         hamming("00", "000")
 
 
+def test_hamming_domain_is_bitstrings():
+    assert hamming("", "") == 0
+    with pytest.raises(ValueError):
+        hamming("0a", "01")
+
+
 # ---------------------------------------------------------------------------
 # repair
 
@@ -120,6 +127,23 @@ def test_repair_inverse_hamming_two_four():
         for _ in range(shots)
     )
     assert abs(near_hits / shots - 2 / 3) <= 4 * math.sqrt((2 / 3) * (1 / 3) / shots)
+
+
+def test_repair_raises_on_a_pooled_measurement():
+    # distance 0 to a pool entry makes the probabilities NaN; the check must
+    # raise even under python -O
+    tour = Tour((2, 0, 3, 1))
+    pool = SolutionPool()
+    pool.add(tour, encode_tour(tour, 4), 1.0)
+    rng = np.random.default_rng(3)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(RepairError):
+        repair_infeasible(encode_tour(tour, 4), pool, iteration=50, k=4, rng=rng)
+
+
+def test_repair_rejects_more_cities_than_the_encoding_holds():
+    rng = np.random.default_rng(0)
+    with pytest.raises(TooManyCities):
+        repair_infeasible("0" * 10, SolutionPool(), iteration=1, k=MAX_CITIES + 1, rng=rng)
 
 
 # ---------------------------------------------------------------------------
