@@ -5,6 +5,26 @@ maximizing tau^alpha * eta^beta, otherwise it samples the candidate from the
 distribution proportional to the same weights.  After each iteration the
 pheromone matrix evaporates and the global-best tour deposits Q/length on its
 edges.
+
+The weights W = tau^alpha * eta^beta change only when the pheromone does, so
+``aco_solve`` computes eta^beta once per solve and W once per iteration, and
+each ant walks W with a mask of the cities it may still visit.  This equals
+evaluating the rule afresh at every step on the gathered candidates, bit for
+bit:
+
+* numpy's power and product work element by element, so W[r, j] is the
+  same double whether it is computed in the full matrix or in a gathered
+  slice;
+* a greedy step takes ``np.argmax`` of the current row with the visited
+  cities set to -inf.  The candidates keep their ascending order and every
+  candidate weight beats -inf, so this is the city ``np.argmax`` picks from
+  the gathered candidates, lowest index first on ties;
+* an exploration step gathers the candidates' weights through the mask, in
+  ascending order, and runs the same numpy sum, cumulative sum and
+  ``searchsorted``;
+* the random draws are unchanged: ``rng.integers(k)`` for the start, then,
+  per step with two or more candidates, one ``rng.random()`` for the q0
+  gate and one more on exploration.
 """
 
 from __future__ import annotations
@@ -19,7 +39,6 @@ from .tsplib import (
     Tour,
     cycle_length,
     distance_matrix,
-    sub_distance_matrix,
 )
 
 PHEROMONE_FLOOR = 1e-12
@@ -62,6 +81,27 @@ def heuristic_matrix(D: np.ndarray) -> np.ndarray:
     return eta
 
 
+def _step(row: np.ndarray, avail: np.ndarray, left: int, q0: float, rng) -> int:
+    """One move of the pseudo-random-proportional rule; returns an index into ``row``.
+
+    ``avail`` marks the ``left`` candidates among the entries of the weight
+    row ``row``, whose other entries are -inf.  A single candidate is taken
+    without a random draw.
+    """
+    if left == 1:
+        return int(avail.argmax())
+    if rng.random() <= q0:
+        return int(row.argmax())
+    gathered = row[avail]
+    total = gathered.sum()
+    if total <= 0.0:
+        gathered = np.ones_like(gathered)
+        total = gathered.sum()
+    cdf = np.cumsum(gathered)
+    pick = int(np.searchsorted(cdf, rng.random() * total, side="right"))
+    return int(np.flatnonzero(avail)[min(pick, left - 1)])
+
+
 def next_node(r: int, allowed, tau: np.ndarray, eta: np.ndarray, params: AcoParams,
               rng: np.random.Generator) -> int:
     """Pick the next node from ``allowed`` by the pseudo-random-proportional rule.
@@ -73,21 +113,12 @@ def next_node(r: int, allowed, tau: np.ndarray, eta: np.ndarray, params: AcoPara
     allowed = np.asarray(allowed, dtype=np.intp)
     if allowed.size == 0:
         raise EmptyAllowedSet(f"no candidate moves from node {r}")
-    if allowed.size == 1:
-        return int(allowed[0])
     if np.any(allowed[1:] < allowed[:-1]):
         allowed = np.sort(allowed)
     weights = tau[r, allowed] ** params.alpha
     weights *= eta[r, allowed] ** params.beta
-    if rng.random() <= params.q0:
-        return int(allowed[int(np.argmax(weights))])
-    total = weights.sum()
-    if total <= 0.0:
-        weights = np.ones_like(weights)
-        total = weights.sum()
-    cdf = np.cumsum(weights)
-    pick = int(np.searchsorted(cdf, rng.random() * total, side="right"))
-    return int(allowed[min(pick, allowed.size - 1)])
+    everyone = np.ones(allowed.size, dtype=bool)
+    return int(allowed[_step(weights, everyone, allowed.size, params.q0, rng)])
 
 
 def selection_probabilities(r: int, allowed, tau, eta, params: AcoParams) -> np.ndarray:
@@ -100,25 +131,45 @@ def selection_probabilities(r: int, allowed, tau, eta, params: AcoParams) -> np.
     return weights / total
 
 
-def _construct(D: np.ndarray, tau, eta, params: AcoParams, rng) -> Tour:
-    k = D.shape[0]
+def _weights(tau: np.ndarray, eta_beta: np.ndarray, alpha: float) -> np.ndarray:
+    """W = tau^alpha * eta^beta by the same two numpy operations as ``next_node``."""
+    W = tau ** alpha
+    W *= eta_beta
+    return W
+
+
+def _construct(W: np.ndarray, q0: float, rng) -> Tour:
+    """One ant's walk over the weight matrix ``W``."""
+    k = W.shape[0]
     current = int(rng.integers(k))
     order = [current]
-    remaining = np.ones(k, dtype=bool)
-    remaining[current] = False
-    while remaining.any():
-        nxt = next_node(current, np.where(remaining)[0], tau, eta, params, rng)
-        order.append(nxt)
-        remaining[nxt] = False
-        current = nxt
+    avail = np.ones(k, dtype=bool)
+    masked = W.copy()  # W with the visited cities' columns at -inf
+    columns = masked.T
+    for left in range(k - 1, 0, -1):
+        avail[current] = False
+        columns[current].fill(-np.inf)
+        current = _step(masked[current], avail, left, q0, rng)
+        order.append(current)
     return Tour(tuple(order))
+
+
+def _local_distances(inst: Instance, indices: list, metric: MetricMode) -> np.ndarray:
+    """Distance matrix of the given cities alone, in local positions.
+
+    Every entry is computed element by element as in the full matrix, so
+    this equals the full matrix's rows and columns at ``indices`` without
+    building it.
+    """
+    sub = Instance(inst.name, len(indices), inst.edge_weight_type, inst.coords[indices])
+    return distance_matrix(sub, metric)
 
 
 def construct_tour(inst: Instance, indices, tau: np.ndarray, params: AcoParams,
                    rng: np.random.Generator, metric: MetricMode = MetricMode.CANONICAL) -> Tour:
     """One ant's tour over the given cities, in local 0..k-1 positions."""
-    D = sub_distance_matrix(distance_matrix(inst, metric), list(indices))
-    return _construct(D, tau, heuristic_matrix(D), params, rng)
+    eta = heuristic_matrix(_local_distances(inst, list(indices), metric))
+    return _construct(_weights(tau, eta ** params.beta, params.alpha), params.q0, rng)
 
 
 def update_pheromone(tau: np.ndarray, best: Tour, length: float, params: AcoParams) -> np.ndarray:
@@ -155,8 +206,8 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
     if any(w < 0 for w in seed_words):
         raise ValueError("seed words must be non-negative")
     if D is None:
-        D = sub_distance_matrix(distance_matrix(inst, metric), indices)
-    eta = heuristic_matrix(D)
+        D = _local_distances(inst, indices, metric)
+    eta_beta = heuristic_matrix(D) ** params.beta
     tau = init_pheromone(k, params.tau0)
 
     best_tour = None
@@ -167,9 +218,10 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
 
     history = []
     for it in range(1, params.iterations + 1):
+        W = _weights(tau, eta_beta, params.alpha)
         for ant in range(params.n_ants):
             rng = np.random.default_rng(seed_words + [it, ant])
-            tour = _construct(D, tau, eta, params, rng)
+            tour = _construct(W, params.q0, rng)
             length = cycle_length(D, tour.order)
             if length < best_len:
                 best_tour, best_len = tour, length

@@ -4,7 +4,9 @@ Outputs are a CSV of run records (the primary artifact, deterministically
 formatted), a JSON mirror that additionally carries each tour and the
 measured wall time, and small self-contained SVG plots.  The wall_ms column
 of the CSV is always 0 so repeated runs with the same seeds are byte
-identical; look in the JSON for real timings.
+identical; look in the JSON for real timings.  Every output file is written
+to a temporary file beside it and renamed over it, so a reader never sees a
+partly written file.
 
 Cells of an experiment grid run in a thread pool capped by the QACO_THREADS
 environment variable (default 1).  Every cell owns its random streams, so
@@ -13,10 +15,12 @@ results do not depend on the thread count.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 import time
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -36,6 +40,7 @@ from .qaco import QacoParams
 from .qsim import NoiseKind, NoiseSpec
 from .tsplib import (
     Instance,
+    InvariantError,
     MetricMode,
     Tour,
     gen_random_instance,
@@ -142,7 +147,9 @@ def run_single(inst: Instance, solver: str, seed: int, noise: NoiseSpec,
     wall_ms = (time.perf_counter() - start) * 1000.0
 
     recomputed = tour_length(inst, tour, metric)
-    assert abs(recomputed - length) <= 1e-9 * max(1.0, abs(length))
+    if not abs(recomputed - length) <= 1e-9 * max(1.0, abs(length)):
+        raise InvariantError(f"{solver} on {inst.name}: reported length {length!r} "
+                             f"!= recomputed {recomputed!r}")
     return RunRecord(
         dataset=inst.name,
         solver=solver,
@@ -165,14 +172,33 @@ def run_cells(cells, worker) -> list:
         return list(pool.map(worker, cells))
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``."""
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_records_csv(records, path, append: bool = False) -> None:
-    exists = os.path.exists(path)
-    mode = "a" if append and exists else "w"
-    with open(path, mode, encoding="utf-8", newline="\n") as f:
-        if mode == "w":
-            f.write(CSV_HEADER + "\n")
-        for rec in records:
-            f.write(rec.csv_row() + "\n")
+    """Write the records as CSV; with ``append``, after an existing file's rows.
+
+    An existing file to append to must start with ``CSV_HEADER``, else
+    ``ConfigError`` is raised and the file is left as it was.
+    """
+    text = CSV_HEADER + "\n"
+    if append and os.path.exists(path):
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            text = f.read()
+        header = text.partition("\n")[0].strip()
+        if header != CSV_HEADER:
+            raise ConfigError(f"cannot append to {path}: unexpected header {header!r}")
+    _write_atomic(path, text + "".join(rec.csv_row() + "\n" for rec in records))
 
 
 def write_records_json(records, path, append: bool = False) -> None:
@@ -181,9 +207,7 @@ def write_records_json(records, path, append: bool = False) -> None:
         with open(path, "r", encoding="utf-8") as f:
             existing = json.load(f)
     existing.extend(rec.to_json() for rec in records)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(existing, f, indent=1)
-        f.write("\n")
+    _write_atomic(path, json.dumps(existing, indent=1) + "\n")
 
 
 def load_records_csv(path) -> list:
@@ -272,16 +296,15 @@ def cmd_compare(dataset_specs, seeds, metric: MetricMode, out_dir: str,
             row[solver] = median(lengths)
         rows.append(row)
 
-    path = os.path.join(out_dir, "comparison.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("dataset,optimum,ACO,QACO,ClusteredACO\n")
-        for row in rows:
-            opt = f"{row['optimum']:g}" if row["optimum"] != "" else ""
-            f.write(
-                f"{row['dataset']},{opt},{row.get('aco', float('nan')):.6f},"
-                f"{row.get('qaco-hybrid', float('nan')):.6f},"
-                f"{row.get('clustered-aco', float('nan')):.6f}\n"
-            )
+    lines = ["dataset,optimum,ACO,QACO,ClusteredACO\n"]
+    for row in rows:
+        opt = f"{row['optimum']:g}" if row["optimum"] != "" else ""
+        lines.append(
+            f"{row['dataset']},{opt},{row.get('aco', float('nan')):.6f},"
+            f"{row.get('qaco-hybrid', float('nan')):.6f},"
+            f"{row.get('clustered-aco', float('nan')):.6f}\n"
+        )
+    _write_atomic(os.path.join(out_dir, "comparison.csv"), "".join(lines))
     return rows
 
 
@@ -326,17 +349,16 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
         )
     deviation = sweep_deviation(level_medians, baseline)
 
-    sweep_path = os.path.join(out_dir, "sweep.csv")
     header = "dataset,noise_kind,ideal," + ",".join(
         f"{lvl * 100:g}%" for lvl in levels
     ) + ",deviation_pct"
-    with open(sweep_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        f.write(
-            f"{inst.name},{noise_kind},{baseline:.6f},"
-            + ",".join(f"{level_medians[lvl]:.6f}" for lvl in levels)
-            + f",{deviation:.4f}\n"
-        )
+    _write_atomic(
+        os.path.join(out_dir, "sweep.csv"),
+        header + "\n"
+        + f"{inst.name},{noise_kind},{baseline:.6f},"
+        + ",".join(f"{level_medians[lvl]:.6f}" for lvl in levels)
+        + f",{deviation:.4f}\n",
+    )
 
     svg_path = os.path.join(out_dir, "plots", f"deviation_{inst.name}_{noise_kind}.svg")
     dev_curve = [abs(level_medians[lvl] - baseline) / baseline * 100.0 for lvl in levels]
@@ -375,11 +397,10 @@ def cmd_estimate_error(layers_file: str = None, preset: str = None,
     report = estimate_circuit_error(layers)
     if out_dir is not None:
         _ensure_out(out_dir)
-        with open(os.path.join(out_dir, "error_report.json"), "w",
-                  encoding="utf-8", newline="\n") as f:
-            json.dump({"s": report.s, "depth": report.depth,
-                       "layer_averages": list(report.layer_averages)}, f, indent=1)
-            f.write("\n")
+        _write_atomic(os.path.join(out_dir, "error_report.json"),
+                      json.dumps({"s": report.s, "depth": report.depth,
+                                  "layer_averages": list(report.layer_averages)}, indent=1)
+                      + "\n")
     return report
 
 
@@ -442,8 +463,7 @@ def write_svg_plot(path, xs, series: dict, title="", xlabel="", ylabel="",
             f'font-family="sans-serif" font-size="10" fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(parts) + "\n")
+    _write_atomic(path, "\n".join(parts) + "\n")
 
 
 def build_qaco_params(overrides: dict = None) -> QacoParams:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tsplib import Instance
+from .tsplib import Instance, InvariantError
 
 
 class EmptyInput(ValueError):
@@ -105,10 +105,9 @@ def _lloyd(points, k, max_iter, rng):
             [points[labels == cid].mean(axis=0) for cid in range(k)]
         )
         inertia = _inertia(points, new_centroids, labels)
-        if history:
-            assert inertia <= history[-1] + 1e-9 * max(1.0, history[-1]), (
-                "K-means inertia increased between Lloyd iterations"
-            )
+        if history and not inertia <= history[-1] + 1e-9 * max(1.0, history[-1]):
+            raise InvariantError(f"K-means inertia increased between Lloyd iterations: "
+                                 f"{history[-1]!r} -> {inertia!r}")
         history.append(inertia)
         movement = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
@@ -205,7 +204,9 @@ def build_cluster_tree(
         tree = ClusterTree(node=indices)
         for cid in range(k):
             part = tuple(indices[i] for i in np.where(labels == cid)[0])
-            assert min_size <= len(part) < size
+            if not min_size <= len(part) < size:
+                raise InvariantError(f"part {cid} of a {size}-city node has {len(part)} "
+                                     f"cities (need {min_size} to {size - 1})")
             tree.children.append(split(part, child_seqs[cid]))
         return tree
 

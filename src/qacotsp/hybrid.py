@@ -24,16 +24,13 @@ from .qaco import QacoParams, qaco_solve
 from .qsim import NO_NOISE, NoiseSpec
 from .tsplib import (
     Instance,
+    InvariantError,
     MetricMode,
     Tour,
     cycle_length,
     distance_matrix,
     validate_tour,
 )
-
-
-class InvariantError(RuntimeError):
-    """A pipeline invariant failed: a stitched or refined tour is malformed."""
 
 
 class LeafSolver(enum.Enum):
@@ -172,29 +169,37 @@ def stitch(subtours: list, inst: Instance, metric: MetricMode = MetricMode.CANON
 
 def two_opt(tour: Tour, inst: Instance, metric: MetricMode = MetricMode.CANONICAL,
             max_passes: int = 20, D: np.ndarray = None) -> Tour:
-    """First-improvement 2-opt sweeps; never returns a longer tour."""
+    """First-improvement 2-opt sweeps; never returns a longer tour.
+
+    Distances are read as Python floats through a flat view of ``D``, in
+    which entry (r, c) sits at r * size + c; the view copies nothing.
+    """
     if D is None:
         D = distance_matrix(inst, metric)
-    order = list(tour.order)
-    n = len(order)
+    n = len(tour.order)
     if n < 4:
         return tour
+    flat = memoryview(np.ascontiguousarray(D, dtype=np.float64)).cast("B").cast("d")
+    size = D.shape[0]
+    # order[n] repeats order[0], which no reversal below moves.
+    order = list(tour.order) + [tour.order[0]]
     for _ in range(max_passes):
         improved = False
         for i in range(n - 1):
-            a, b = order[i], order[i + 1]
-            for j in range(i + 2, n):
-                if i == 0 and j == n - 1:
-                    continue
-                c, d = order[j], order[(j + 1) % n]
-                delta = D[a, c] + D[b, d] - D[a, b] - D[c, d]
+            a_row = order[i] * size
+            b = order[i + 1]
+            b_row, ab = b * size, flat[a_row + b]
+            for j in range(i + 2, n - 1 if i == 0 else n):
+                c, d = order[j], order[j + 1]
+                delta = flat[a_row + c] + flat[b_row + d] - ab - flat[c * size + d]
                 if delta < -1e-12:
                     order[i + 1: j + 1] = order[i + 1: j + 1][::-1]
                     b = order[i + 1]
+                    b_row, ab = b * size, flat[a_row + b]
                     improved = True
         if not improved:
             break
-    return Tour(tuple(order))
+    return Tour(tuple(order[:n]))
 
 
 @dataclass

@@ -46,6 +46,14 @@ class InvalidCount(ValueError):
     pass
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a solver produced an impossible result.
+
+    Raised explicitly rather than by ``assert``, so the checks also run
+    under ``python -O``.
+    """
+
+
 class MetricMode(enum.Enum):
     """Distance convention.
 

@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from qacotsp import cli
+from qacotsp import bench, cli
 from qacotsp.bench import (
     CSV_HEADER,
     ConfigError,
+    RunRecord,
     build_hybrid_overrides,
     cmd_compare,
     cmd_estimate_error,
@@ -21,12 +22,15 @@ from qacotsp.bench import (
     resolve_instance,
     run_single,
     sweep_deviation,
+    write_records_csv,
+    write_records_json,
 )
 from qacotsp.qaco import QacoParams
 from qacotsp.aco import AcoParams
 from qacotsp.hybrid import Refinement
 from qacotsp.qsim import NoiseSpec
 from qacotsp.tsplib import (
+    InvariantError,
     MetricMode,
     Tour,
     load_instance,
@@ -75,6 +79,13 @@ def test_run_single_self_checks_record():
     assert validate_tour(rec.tour, 9)
     recomputed = tour_length(inst, Tour(rec.tour), MetricMode.PLAIN)
     assert abs(recomputed - rec.length) <= 1e-9
+
+
+def test_run_single_raises_when_length_disagrees(monkeypatch):
+    monkeypatch.setattr(bench, "tour_length", lambda inst, tour, metric: 1e9)
+    with pytest.raises(InvariantError):
+        run_single(resolve_instance("random:6:1:100"), "aco", 0, NoiseSpec(),
+                   MetricMode.PLAIN, aco_params=AcoParams(iterations=2))
 
 
 def test_cmd_solve_writes_outputs(tmp_path):
@@ -322,3 +333,47 @@ def test_cli_compare(tmp_path):
     ])
     assert code == 0
     assert os.path.exists(os.path.join(out, "comparison.csv"))
+
+
+# ---------------------------------------------------------------------------
+# atomic result files
+
+
+def _record(seed):
+    return RunRecord("demo", "aco", seed, "none", 0.0, 10.0 + seed, 5, 1.5, (0, 1, 2))
+
+
+def test_append_refuses_a_foreign_csv_header(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("city,x,y\n1,2,3\n")
+    with pytest.raises(ConfigError):
+        write_records_csv([_record(0)], path, append=True)
+    assert path.read_text() == "city,x,y\n1,2,3\n"
+    write_records_csv([_record(0)], path)  # without append the file is replaced
+    assert path.read_text() == records_to_csv_text([_record(0)])
+
+
+def test_append_keeps_existing_bytes(tmp_path):
+    path = tmp_path / "results.csv"
+    write_records_csv([_record(0)], path, append=True)
+    write_records_csv([_record(1), _record(2)], path, append=True)
+    assert path.read_text() == records_to_csv_text([_record(0), _record(1), _record(2)])
+
+
+@pytest.mark.parametrize("writer", [write_records_csv, write_records_json])
+def test_failed_write_leaves_no_partial_file(writer, tmp_path, monkeypatch):
+    path = tmp_path / "results.out"
+    writer([_record(0)], path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(bench.os, "replace", fail)
+    with pytest.raises(OSError):
+        writer([_record(1)], path, append=True)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["results.out"]
+    with pytest.raises(OSError):
+        writer([_record(1)], tmp_path / "fresh.out")
+    assert os.listdir(tmp_path) == ["results.out"]

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qacotsp import cluster
 from qacotsp.cluster import (
     EmptyInput,
     EmptySet,
@@ -11,7 +13,7 @@ from qacotsp.cluster import (
     centroid_of,
     kmeans,
 )
-from qacotsp.tsplib import Instance, gen_random_instance, load_instance
+from qacotsp.tsplib import Instance, InvariantError, gen_random_instance, load_instance
 
 
 def quad_grid_instance():
@@ -143,3 +145,26 @@ def test_tree_coincident_points_terminates():
     leaves = assert_partition(tree, 9)
     for leaf in leaves:
         assert 2 <= len(leaf.node) <= 4
+
+
+# ---------------------------------------------------------------------------
+# invariant checks (explicit raises, kept under python -O)
+
+
+def test_kmeans_raises_when_inertia_increases(monkeypatch):
+    counter = itertools.count()
+    monkeypatch.setattr(cluster, "_inertia", lambda *args: float(next(counter)))
+    points = gen_random_instance(20, 5, 100.0).coords
+    with pytest.raises(InvariantError):
+        kmeans(points, 3, restarts=1, seed=0)
+
+
+@pytest.mark.parametrize("bad_labels", [
+    lambda labels: np.zeros_like(labels),  # one part keeps the whole node
+    lambda labels: np.where(np.arange(len(labels)) == 0, 1, 0),  # a singleton part
+])
+def test_tree_raises_on_bad_partition(bad_labels, monkeypatch):
+    monkeypatch.setattr(cluster, "_rebalance_small_parts",
+                        lambda points, labels, k, min_size: bad_labels(labels))
+    with pytest.raises(InvariantError):
+        build_cluster_tree(gen_random_instance(12, 0, 100.0), seed=0, restarts=1)

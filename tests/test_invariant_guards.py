@@ -1,0 +1,45 @@
+"""Guards that keep invariant checks alive under ``python -O``.
+
+``-O`` strips ``assert`` statements, so the package checks its invariants
+with explicit raises.  One test keeps ``assert`` out of the package source;
+the other runs an invariant trigger in an optimized interpreter.
+"""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted((SRC / "qacotsp").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} guards invariants with assert on lines {lines}"
+
+
+TRIGGER = """
+import numpy as np
+from qacotsp import cluster, tsplib
+assert False, "assert statements must be stripped under -O"
+cluster._rebalance_small_parts = lambda points, labels, k, min_size: np.zeros_like(labels)
+try:
+    cluster.build_cluster_tree(tsplib.gen_random_instance(12, 0, 100.0), seed=0, restarts=1)
+except tsplib.InvariantError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_invariant_raises_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", TRIGGER], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: part 0 of a 12-city node"), proc.stdout
