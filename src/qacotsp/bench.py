@@ -7,10 +7,6 @@ of the CSV is always 0 so repeated runs with the same seeds are byte
 identical; look in the JSON for real timings.  Every output file is written
 to a temporary file beside it and renamed over it, so a reader never sees a
 partly written file.
-
-Cells of an experiment grid run in a thread pool capped by the QACO_THREADS
-environment variable (default 1).  Every cell owns its random streams, so
-results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ import json
 import os
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +46,10 @@ from .tsplib import (
 SOLVERS = ("aco", "qaco-hybrid", "clustered-aco")
 CSV_HEADER = "dataset,solver,seed,noise_kind,noise_rate,length,iterations,wall_ms"
 DEFAULT_NOISE_LEVELS = (0.001, 0.01, 0.02, 0.05, 0.10)
+# HybridConfig fields a config's ``hybrid`` block may set; the harness sets
+# the others from the solver name, the seed, the noise and the metric.
+HYBRID_KEYS = ("refinement", "two_opt_max_passes", "polish_iterations", "leaf_max",
+               "branching", "kmeans_restarts")
 
 
 class ConfigError(ValueError):
@@ -163,13 +162,25 @@ def run_single(inst: Instance, solver: str, seed: int, noise: NoiseSpec,
     )
 
 
-def run_cells(cells, worker) -> list:
-    """Evaluate experiment cells in deterministic order, QACO_THREADS-wide."""
-    threads = max(1, int(os.environ.get("QACO_THREADS", "1")))
-    if threads == 1:
-        return [worker(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, cells))
+def run_cells(cells, metric: MetricMode, out_dir: str, qaco_params: QacoParams,
+              aco_params: AcoParams, hybrid_overrides: dict) -> list:
+    """Run ``(instance, solver, seed, noise)`` cells in order; append their records.
+
+    The records go to ``results.csv`` and ``results.json`` in ``out_dir``.
+    Both existing files are checked before any cell runs, so if either
+    cannot take the append (``ConfigError``), neither file is touched.
+    """
+    csv_path = os.path.join(out_dir, "results.csv")
+    json_path = os.path.join(out_dir, "results.json")
+    _existing_csv(csv_path)
+    _existing_json(json_path)
+    records = [run_single(inst, solver, seed, noise, metric, qaco_params, aco_params,
+                          hybrid_overrides)
+               for inst, solver, seed, noise in cells]
+    os.makedirs(out_dir, exist_ok=True)
+    write_records_csv(records, csv_path, append=True)
+    write_records_json(records, json_path, append=True)
+    return records
 
 
 def _write_atomic(path, text: str) -> None:
@@ -185,27 +196,41 @@ def _write_atomic(path, text: str) -> None:
         raise
 
 
+def _existing_csv(path) -> str:
+    """The results CSV at ``path`` (just the header if absent), checked for its header."""
+    if not os.path.exists(path):
+        return CSV_HEADER + "\n"
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        text = f.read()
+    header = text.partition("\n")[0].strip()
+    if header != CSV_HEADER:
+        raise ConfigError(f"cannot append to {path}: unexpected header {header!r}")
+    return text
+
+
+def _existing_json(path) -> list:
+    """The records in the results JSON at ``path``, checked to be a list."""
+    if not os.path.exists(path):
+        return []
+    with open(path, "r", encoding="utf-8") as f:
+        records = json.load(f)
+    if not isinstance(records, list):
+        raise ConfigError(f"cannot append to {path}: it holds no JSON list")
+    return records
+
+
 def write_records_csv(records, path, append: bool = False) -> None:
     """Write the records as CSV; with ``append``, after an existing file's rows.
 
     An existing file to append to must start with ``CSV_HEADER``, else
     ``ConfigError`` is raised and the file is left as it was.
     """
-    text = CSV_HEADER + "\n"
-    if append and os.path.exists(path):
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            text = f.read()
-        header = text.partition("\n")[0].strip()
-        if header != CSV_HEADER:
-            raise ConfigError(f"cannot append to {path}: unexpected header {header!r}")
+    text = _existing_csv(path) if append else CSV_HEADER + "\n"
     _write_atomic(path, text + "".join(rec.csv_row() + "\n" for rec in records))
 
 
 def write_records_json(records, path, append: bool = False) -> None:
-    existing = []
-    if append and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as f:
-            existing = json.load(f)
+    existing = _existing_json(path) if append else []
     existing.extend(rec.to_json() for rec in records)
     _write_atomic(path, json.dumps(existing, indent=1) + "\n")
 
@@ -239,26 +264,13 @@ def median(values) -> float:
 # subcommand drivers
 
 
-def _ensure_out(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
-
-
 def cmd_solve(instance_spec: str, solver: str, seeds, noise: NoiseSpec,
               metric: MetricMode, out_dir: str, qaco_params=QacoParams(),
               aco_params=AcoParams(), hybrid_overrides=None) -> list:
     """Solve one instance with one solver across seeds; append records."""
-    _ensure_out(out_dir)
     inst = resolve_instance(instance_spec)
-    cells = [(inst, solver, int(seed)) for seed in seeds]
-    records = run_cells(
-        cells,
-        lambda cell: run_single(cell[0], cell[1], cell[2], noise, metric,
-                                qaco_params, aco_params, hybrid_overrides),
-    )
-    write_records_csv(records, os.path.join(out_dir, "results.csv"), append=True)
-    write_records_json(records, os.path.join(out_dir, "results.json"), append=True)
-    return records
+    return run_cells([(inst, solver, int(seed), noise) for seed in seeds],
+                     metric, out_dir, qaco_params, aco_params, hybrid_overrides)
 
 
 def cmd_compare(dataset_specs, seeds, metric: MetricMode, out_dir: str,
@@ -270,22 +282,15 @@ def cmd_compare(dataset_specs, seeds, metric: MetricMode, out_dir: str,
     Returns the table rows as dicts and writes comparison.csv plus the raw
     records.
     """
-    _ensure_out(out_dir)
     optima = optima or {}
     instances = [resolve_instance(spec) for spec in dataset_specs]
     cells = [
-        (inst, solver, int(seed))
+        (inst, solver, int(seed), NoiseSpec())
         for inst in instances
         for solver in solvers
         for seed in seeds
     ]
-    records = run_cells(
-        cells,
-        lambda cell: run_single(cell[0], cell[1], cell[2], NoiseSpec(), metric,
-                                qaco_params, aco_params, hybrid_overrides),
-    )
-    write_records_csv(records, os.path.join(out_dir, "results.csv"), append=True)
-    write_records_json(records, os.path.join(out_dir, "results.json"), append=True)
+    records = run_cells(cells, metric, out_dir, qaco_params, aco_params, hybrid_overrides)
 
     rows = []
     for inst in instances:
@@ -317,8 +322,8 @@ def sweep_deviation(level_medians: dict, baseline: float) -> float:
 
 def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMode,
                     out_dir: str, levels=DEFAULT_NOISE_LEVELS,
-                    qaco_params=QacoParams(), hybrid_overrides=None,
-                    aco_params=AcoParams()) -> dict:
+                    qaco_params=QacoParams(), aco_params=AcoParams(),
+                    hybrid_overrides=None) -> dict:
     """QACO-hybrid at each noise level plus a noiseless baseline.
 
     Deviation(%) is the maximum relative deviation of a per-level median from
@@ -327,18 +332,11 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
     """
     if noise_kind not in ("bitflip", "thermal"):
         raise ConfigError("noise-sweep requires --noise bitflip or thermal")
-    _ensure_out(out_dir)
     inst = resolve_instance(instance_spec)
     levels = list(levels)
     specs = [NoiseSpec()] + [parse_noise(noise_kind, lvl) for lvl in levels]
-    cells = [(spec, int(seed)) for spec in specs for seed in seeds]
-    records = run_cells(
-        cells,
-        lambda cell: run_single(inst, "qaco-hybrid", cell[1], cell[0], metric,
-                                qaco_params, aco_params, hybrid_overrides),
-    )
-    write_records_csv(records, os.path.join(out_dir, "results.csv"), append=True)
-    write_records_json(records, os.path.join(out_dir, "results.json"), append=True)
+    cells = [(inst, "qaco-hybrid", int(seed), spec) for spec in specs for seed in seeds]
+    records = run_cells(cells, metric, out_dir, qaco_params, aco_params, hybrid_overrides)
 
     baseline = median(r.length for r in records if r.noise_kind == "none")
     level_medians = {}
@@ -360,6 +358,7 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
         + f",{deviation:.4f}\n",
     )
 
+    os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
     svg_path = os.path.join(out_dir, "plots", f"deviation_{inst.name}_{noise_kind}.svg")
     dev_curve = [abs(level_medians[lvl] - baseline) / baseline * 100.0 for lvl in levels]
     write_svg_plot(svg_path, [lvl * 100 for lvl in levels], {inst.name: dev_curve},
@@ -370,7 +369,6 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
 
 ERROR_PRESETS = {
     "heron-4city": dict(k_cities=4, include_ancilla=True),
-    "heron-10city": dict(k_cities=10, include_ancilla=True),
 }
 
 
@@ -396,7 +394,7 @@ def cmd_estimate_error(layers_file: str = None, preset: str = None,
                         m=entry.get("m")) for entry in raw]
     report = estimate_circuit_error(layers)
     if out_dir is not None:
-        _ensure_out(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         _write_atomic(os.path.join(out_dir, "error_report.json"),
                       json.dumps({"s": report.s, "depth": report.depth,
                                   "layer_averages": list(report.layer_averages)}, indent=1)
@@ -466,27 +464,37 @@ def write_svg_plot(path, xs, series: dict, title="", xlabel="", ylabel="",
     _write_atomic(path, "\n".join(parts) + "\n")
 
 
-def build_qaco_params(overrides: dict = None) -> QacoParams:
-    return dataclasses.replace(QacoParams(), **(overrides or {}))
+def check_keys(block, allowed, what: str) -> dict:
+    """``block`` if it is a JSON object whose keys are all in ``allowed``.
+
+    Otherwise ``ConfigError`` naming the allowed keys, so a typo in a config
+    file stops the run instead of being dropped or reaching a constructor.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{what} must be a JSON object with keys from "
+                          f"{', '.join(allowed)}; got {type(block).__name__}")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+                          f"allowed: {', '.join(allowed)}")
+    return block
 
 
-def build_aco_params(overrides: dict = None) -> AcoParams:
-    return dataclasses.replace(AcoParams(), **(overrides or {}))
+def build_params(params, overrides: dict, what: str):
+    """``params`` with the fields a config block ``what`` sets replaced."""
+    fields = [f.name for f in dataclasses.fields(params)]
+    return dataclasses.replace(params, **check_keys(overrides, fields, what))
 
 
 def build_hybrid_overrides(overrides: dict = None):
     """A config's ``hybrid`` block as ``HybridConfig`` keywords, or None if empty.
 
-    ``refinement`` is converted from its name (``"aco-polish"``) to the
-    ``Refinement`` member.  The leaf solver follows from the solver name, so
-    the block may not set ``leaf_solver``.
+    The block may set only ``HYBRID_KEYS``.  ``refinement`` is converted from
+    its name (``"aco-polish"``) to the ``Refinement`` member.
     """
     if not overrides:
         return None
-    out = dict(overrides)
-    if "leaf_solver" in out:
-        raise ConfigError("hybrid.leaf_solver is set by the solver name "
-                          "(qaco-hybrid | clustered-aco)")
+    out = dict(check_keys(overrides, HYBRID_KEYS, "hybrid"))
     if "refinement" in out:
         names = [r.value for r in Refinement]
         if out["refinement"] not in names:

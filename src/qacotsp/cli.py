@@ -12,12 +12,13 @@ import json
 import sys
 
 from . import bench
+from .aco import AcoParams
 from .bench import ConfigError
+from .qaco import QacoParams
 from .tsplib import gen_random_instance, save_instance
 
 
 def _add_common(p):
-    p.add_argument("--config", help="JSON file whose keys mirror the flags")
     p.add_argument("--metric", choices=["canonical", "paper"], default=None,
                    help="distance convention (default canonical)")
     p.add_argument("--seeds", default=None,
@@ -25,23 +26,59 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output directory (default runs/)")
 
 
-def _merged(args, defaults):
-    """Start from defaults, overlay --config, overlay explicit flags."""
+# Marks a key that a flag or the config file must set.
+REQUIRED = object()
+# Defaults the three solver commands share.
+SOLVER_DEFAULTS = {
+    "metric": "canonical", "seeds": "0,1,2,3,4", "out": "runs",
+    "qaco_params": {}, "aco_params": {}, "hybrid": {},
+}
+# Each command's defaults; a --config file may set exactly these keys.
+DEFAULTS = {
+    "solve": {**SOLVER_DEFAULTS, "instance": REQUIRED, "solver": "qaco-hybrid",
+              "noise": "none", "rate": 0.0},
+    "compare": {**SOLVER_DEFAULTS, "datasets": REQUIRED, "optima": {}},
+    "noise-sweep": {**SOLVER_DEFAULTS, "instance": REQUIRED, "noise": REQUIRED,
+                    "levels": bench.DEFAULT_NOISE_LEVELS},
+    "estimate-error": {"layers": None, "preset": None, "out": None},
+    "gen-random": {"n": 64, "seed": 0, "bound": 1000.0, "path": REQUIRED},
+}
+
+
+def _merged(args):
+    """Start from the command's defaults, overlay --config, overlay explicit flags."""
+    defaults = DEFAULTS[args.command]
     merged = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
-            merged.update(json.load(f))
+            merged.update(bench.check_keys(json.load(f), list(defaults),
+                                           f"{args.command} config"))
     for key, value in vars(args).items():
         if key in ("config", "command") or value is None:
             continue
         merged[key] = value
+    missing = [f"--{key}" for key, value in merged.items()
+               if defaults[key] is REQUIRED and (value is REQUIRED or not value)]
+    if missing:
+        raise ConfigError(f"{' and '.join(missing)} required")
     return merged
 
 
-def _seeds(value):
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(v) for v in str(value).split(",") if v != ""]
+def _solver_args(cfg) -> dict:
+    """The keyword arguments the solver commands build from ``SOLVER_DEFAULTS`` keys."""
+    return dict(
+        seeds=_list(cfg["seeds"], int), metric=bench.parse_metric(cfg["metric"]),
+        out_dir=cfg["out"],
+        qaco_params=bench.build_params(QacoParams(), cfg["qaco_params"], "qaco_params"),
+        aco_params=bench.build_params(AcoParams(), cfg["aco_params"], "aco_params"),
+        hybrid_overrides=bench.build_hybrid_overrides(cfg["hybrid"]),
+    )
+
+
+def _list(value, convert=str) -> list:
+    """A comma-separated flag value, or a list from the config file, converted."""
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    return [convert(v) for v in items if v != ""]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", default=None, help="JSON layer spec file")
     p.add_argument("--preset", default=None,
                    help=f"one of {sorted(bench.ERROR_PRESETS)}")
-    p.add_argument("--config", help="JSON file whose keys mirror the flags")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("gen-random", help="write a random instance as TSPLIB")
@@ -84,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bound", type=float, default=None)
     p.add_argument("--path", default=None, help="output .tsp path")
-    p.add_argument("--config", help="JSON file whose keys mirror the flags")
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON file whose keys mirror the flags")
     return parser
 
 
@@ -99,44 +136,19 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    cfg = _merged(args)
     if args.command == "solve":
-        cfg = _merged(args, {
-            "instance": None, "solver": "qaco-hybrid", "noise": "none",
-            "rate": 0.0, "metric": "canonical", "seeds": "0,1,2,3,4",
-            "out": "runs", "qaco_params": {}, "aco_params": {}, "hybrid": {},
-        })
-        if not cfg["instance"]:
-            raise ConfigError("--instance is required")
         records = bench.cmd_solve(
-            cfg["instance"], cfg["solver"], _seeds(cfg["seeds"]),
-            bench.parse_noise(cfg["noise"], float(cfg["rate"])),
-            bench.parse_metric(cfg["metric"]), cfg["out"],
-            bench.build_qaco_params(cfg["qaco_params"]),
-            bench.build_aco_params(cfg["aco_params"]),
-            bench.build_hybrid_overrides(cfg["hybrid"]),
-        )
+            cfg["instance"], cfg["solver"],
+            noise=bench.parse_noise(cfg["noise"], float(cfg["rate"])), **_solver_args(cfg))
         for rec in records:
             print(f"{rec.dataset} {rec.solver} seed={rec.seed} "
                   f"length={rec.length:.4f} ({rec.wall_ms:.0f} ms)")
         return 0
 
     if args.command == "compare":
-        cfg = _merged(args, {
-            "datasets": None, "metric": "canonical", "seeds": "0,1,2,3,4",
-            "out": "runs", "optima": {}, "qaco_params": {}, "aco_params": {},
-            "hybrid": {},
-        })
-        if not cfg["datasets"]:
-            raise ConfigError("--datasets is required")
-        datasets = (cfg["datasets"].split(",")
-                    if isinstance(cfg["datasets"], str) else cfg["datasets"])
-        rows = bench.cmd_compare(
-            datasets, _seeds(cfg["seeds"]), bench.parse_metric(cfg["metric"]),
-            cfg["out"], cfg["optima"],
-            bench.build_qaco_params(cfg["qaco_params"]),
-            bench.build_aco_params(cfg["aco_params"]),
-            bench.build_hybrid_overrides(cfg["hybrid"]),
-        )
+        rows = bench.cmd_compare(_list(cfg["datasets"]), optima=cfg["optima"],
+                                 **_solver_args(cfg))
         print(f"{'dataset':<16}{'optimum':>10}{'ACO':>14}{'QACO':>14}{'ClusteredACO':>14}")
         for row in rows:
             opt = f"{row['optimum']:g}" if row["optimum"] != "" else "-"
@@ -145,24 +157,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "noise-sweep":
-        cfg = _merged(args, {
-            "instance": None, "noise": None, "metric": "canonical",
-            "seeds": "0,1,2,3,4", "out": "runs", "levels": None,
-            "qaco_params": {}, "aco_params": {}, "hybrid": {},
-        })
-        if not cfg["instance"] or not cfg["noise"]:
-            raise ConfigError("--instance and --noise are required")
-        levels = bench.DEFAULT_NOISE_LEVELS
-        if cfg["levels"]:
-            levels = ([float(v) for v in cfg["levels"].split(",")]
-                      if isinstance(cfg["levels"], str) else cfg["levels"])
-        summary = bench.cmd_noise_sweep(
-            cfg["instance"], cfg["noise"], _seeds(cfg["seeds"]),
-            bench.parse_metric(cfg["metric"]), cfg["out"], levels,
-            bench.build_qaco_params(cfg["qaco_params"]),
-            bench.build_hybrid_overrides(cfg["hybrid"]),
-            bench.build_aco_params(cfg["aco_params"]),
-        )
+        summary = bench.cmd_noise_sweep(cfg["instance"], cfg["noise"],
+                                        levels=_list(cfg["levels"], float),
+                                        **_solver_args(cfg))
         print(f"ideal median: {summary['baseline']:.4f}")
         for lvl, med in summary["levels"].items():
             print(f"  rate {lvl:g}: median {med:.4f}")
@@ -170,7 +167,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "estimate-error":
-        cfg = _merged(args, {"layers": None, "preset": None, "out": None})
         report = bench.cmd_estimate_error(cfg["layers"], cfg["preset"], cfg["out"])
         print(f"depth: {report.depth}")
         for j, avg in enumerate(report.layer_averages, start=1):
@@ -178,16 +174,11 @@ def _dispatch(args) -> int:
         print(f"total failure probability s = {report.s:.6g}")
         return 0
 
-    if args.command == "gen-random":
-        cfg = _merged(args, {"n": 64, "seed": 0, "bound": 1000.0, "path": None})
-        if not cfg["path"]:
-            raise ConfigError("--path is required")
-        inst = gen_random_instance(int(cfg["n"]), int(cfg["seed"]), float(cfg["bound"]))
-        save_instance(inst, cfg["path"])
-        print(f"wrote {inst.name} ({inst.dimension} cities) to {cfg['path']}")
-        return 0
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    # gen-random, the last of the commands build_parser accepts
+    inst = gen_random_instance(int(cfg["n"]), int(cfg["seed"]), float(cfg["bound"]))
+    save_instance(inst, cfg["path"])
+    print(f"wrote {inst.name} ({inst.dimension} cities) to {cfg['path']}")
+    return 0
 
 
 if __name__ == "__main__":

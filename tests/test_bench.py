@@ -135,17 +135,6 @@ def test_csv_roundtrip_byte_identical(tmp_path):
     assert records_to_csv_text(loaded) == original
 
 
-def test_threads_do_not_change_results(tmp_path, monkeypatch):
-    outputs = {}
-    for threads in ("1", "8"):
-        monkeypatch.setenv("QACO_THREADS", threads)
-        out = tmp_path / f"t{threads}"
-        cmd_solve("random:10:9:100", "qaco-hybrid", [0, 1, 2, 3], NoiseSpec(),
-                  MetricMode.PLAIN, str(out), FAST_QACO, FAST_ACO, FAST_HYBRID)
-        outputs[threads] = (out / "results.csv").read_bytes()
-    assert outputs["1"] == outputs["8"]
-
-
 def test_cmd_compare_single_dataset(tmp_path):
     rows = cmd_compare(["random:9:11:100"], [0, 1, 2], MetricMode.PLAIN,
                        str(tmp_path / "runs"), {"random-9-s11": 123.0},
@@ -312,6 +301,46 @@ def test_cli_estimate_error(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "failure probability" in printed
     assert cli.main(["estimate-error", "--preset", "nope"]) == 2
+    # 2 bits per city cannot encode the 10 cities of a 21-qubit register
+    assert cli.main(["estimate-error", "--preset", "heron-10city"]) == 2
+
+
+@pytest.mark.parametrize("config, allowed", [
+    ({"qaco_params": {"max_iters": 5}}, "max_iter"),
+    ({"hybrid": {"leafmax": 3}}, "leaf_max"),
+    ([{"seeds": [0]}], "seeds"),
+    ({"seed": 3}, "seeds"),
+    ({"hybrid": {"seed": 3}}, "kmeans_restarts"),
+    ({"hybrid": {"noise": "bitflip"}}, "kmeans_restarts"),
+    ({"hybrid": {"metric": "paper"}}, "kmeans_restarts"),
+    ({"hybrid": {"qaco_params": {}}}, "kmeans_restarts"),
+    ({"hybrid": {"aco_params": {}}}, "kmeans_restarts"),
+], ids=["qaco-typo", "hybrid-typo", "top-level-list", "top-level-typo", "hybrid-seed",
+        "hybrid-noise", "hybrid-metric", "hybrid-qaco-params", "hybrid-aco-params"])
+def test_cli_bad_config_key_exits_2_before_writing(config, allowed, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "runs"
+    assert cli.main(["solve", "--instance", "random:8:5:100", "--solver", "aco",
+                     "--seeds", "0", "--out", str(out), "--config", str(path)]) == 2
+    assert not out.exists()
+    assert allowed in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("csv_text, json_text", [
+    (records_to_csv_text([RunRecord("demo", "aco", 0, "none", 0.0, 10.0, 5, 1.5, (0, 1, 2))]),
+     '{"a": 1}\n'),
+    ("city,x,y\n1,2,3\n", "[]\n"),
+], ids=["json-not-a-list", "foreign-csv-header"])
+def test_cli_appends_to_neither_results_file_if_one_is_bad(csv_text, json_text, tmp_path):
+    out = tmp_path / "runs"
+    out.mkdir()
+    (out / "results.csv").write_text(csv_text)
+    (out / "results.json").write_text(json_text)
+    assert cli.main(["solve", "--instance", "random:8:5:100", "--solver", "aco",
+                     "--seeds", "0", "--out", str(out), "--config", _fast_config(tmp_path)]) == 2
+    assert (out / "results.csv").read_text() == csv_text
+    assert (out / "results.json").read_text() == json_text
 
 
 def test_cli_noise_sweep(tmp_path):

@@ -2,7 +2,9 @@
 
 ``-O`` strips ``assert`` statements, so the package checks its invariants
 with explicit raises.  One test keeps ``assert`` out of the package source;
-the other runs an invariant trigger in an optimized interpreter.
+another runs an invariant trigger in an optimized interpreter.  A third keeps
+environment reads (``os.environ``, ``os.getenv``) out of the package, so no
+hidden knob changes what a run does.
 """
 
 import ast
@@ -22,6 +24,20 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} guards invariants with assert on lines {lines}"
+
+
+ENV_READS = {"environ", "getenv", "environb", "getenvb"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_knobs(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in ENV_READS
+                 and isinstance(node.value, ast.Name) and node.value.id == "os")
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and any(alias.name in ENV_READS for alias in node.names))]
+    assert not lines, f"{path.name} reads the environment on lines {lines}"
 
 
 TRIGGER = """

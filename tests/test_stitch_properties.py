@@ -1,0 +1,78 @@
+"""Property tests for the stitch layer on small random instances.
+
+* ``_merge_two_cycles`` reports the added length it actually causes;
+* ``stitch`` returns a permutation of the union of its subtours;
+* ``two_opt`` never returns a longer tour.
+
+Both metrics are drawn: the canonical one rounds distances, which makes ties
+between candidate exchanges common.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qacotsp.hybrid import SubSolution, _merge_two_cycles, stitch, two_opt
+from qacotsp.tsplib import (
+    MetricMode,
+    Tour,
+    cycle_length,
+    distance_matrix,
+    gen_random_instance,
+    validate_tour,
+)
+
+REL_TOL = 1e-9
+SETTINGS = settings(max_examples=150, deadline=None, database=None)
+metrics = st.sampled_from([MetricMode.PLAIN, MetricMode.CANONICAL])
+inst_seeds = st.integers(0, 2 ** 31 - 1)
+
+
+@st.composite
+def instance_and_order(draw, min_n, max_n):
+    """A random instance with its distance matrix and a random order of its cities."""
+    n = draw(st.integers(min_n, max_n))
+    inst = gen_random_instance(n, draw(inst_seeds), draw(st.sampled_from([10.0, 1000.0])))
+    D = distance_matrix(inst, draw(metrics))
+    return inst, D, draw(st.permutations(range(n)))
+
+
+@SETTINGS
+@given(case=instance_and_order(2, 12), data=st.data())
+def test_merge_two_cycles_reports_the_added_length(case, data):
+    _, D, order = case
+    split = data.draw(st.integers(1, len(order) - 1))
+    a, b = list(order[:split]), list(order[split:])
+    merged, added = _merge_two_cycles(a, b, D)
+    assert sorted(merged) == sorted(order)
+    merged_length = cycle_length(D, merged)
+    expected = merged_length - cycle_length(D, a) - cycle_length(D, b)
+    assert abs(added - expected) <= REL_TOL * max(1.0, merged_length)
+
+
+@SETTINGS
+@given(case=instance_and_order(2, 16), data=st.data())
+def test_stitch_returns_a_permutation_of_the_union(case, data):
+    inst, D, order = case
+    # leaf-sized groups over a prefix of the order, so the union may be a
+    # strict subset of the instance
+    size = data.draw(st.integers(1, len(order)))
+    subs, start = [], 0
+    while start < size:
+        k = data.draw(st.integers(1, min(4, size - start)))
+        indices = tuple(order[start:start + k])
+        local = Tour(tuple(data.draw(st.permutations(range(k)))))
+        length = cycle_length(D, [indices[p] for p in local.order])
+        subs.append(SubSolution(indices, local, length))
+        start += k
+    tour = stitch(subs, inst, D=D)
+    assert validate_tour(tour.order, size)
+
+
+@SETTINGS
+@given(case=instance_and_order(2, 25), max_passes=st.integers(1, 20))
+def test_two_opt_never_returns_a_longer_tour(case, max_passes):
+    inst, D, order = case
+    before = cycle_length(D, order)
+    out = two_opt(Tour(tuple(order)), inst, max_passes=max_passes, D=D)
+    assert validate_tour(out.order, len(order))
+    assert cycle_length(D, out.order) <= before + REL_TOL * max(1.0, before)
