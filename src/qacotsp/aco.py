@@ -65,6 +65,8 @@ class AcoParams:
             raise ValueError("q0 must be in [0, 1]")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
+        if self.n_ants < 1:
+            raise ValueError("n_ants must be >= 1")
 
 
 def init_pheromone(k: int, tau0: float = 1.0) -> np.ndarray:
@@ -205,6 +207,8 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
     seed_words = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     if any(w < 0 for w in seed_words):
         raise ValueError("seed words must be non-negative")
+    if params.iterations < 1 and initial_tour is None:
+        raise ValueError("iterations must be >= 1 without an initial tour")
     if D is None:
         D = _local_distances(inst, indices, metric)
     eta_beta = heuristic_matrix(D) ** params.beta

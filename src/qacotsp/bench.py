@@ -332,8 +332,10 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
     """
     if noise_kind not in ("bitflip", "thermal"):
         raise ConfigError("noise-sweep requires --noise bitflip or thermal")
-    inst = resolve_instance(instance_spec)
     levels = list(levels)
+    if not levels:
+        raise ConfigError("noise-sweep needs at least one noise level")
+    inst = resolve_instance(instance_spec)
     specs = [NoiseSpec()] + [parse_noise(noise_kind, lvl) for lvl in levels]
     cells = [(inst, "qaco-hybrid", int(seed), spec) for spec in specs for seed in seeds]
     records = run_cells(cells, metric, out_dir, qaco_params, aco_params, hybrid_overrides)
@@ -480,10 +482,27 @@ def check_keys(block, allowed, what: str) -> dict:
     return block
 
 
+def check_fields(block, defaults, allowed, what: str) -> dict:
+    """``block`` if ``check_keys`` passes it and each number has its field's type.
+
+    A field's type is that of its value in ``defaults``.  An int field takes
+    an ``int`` and a float field an ``int`` or a ``float``; neither takes a
+    ``bool``, which JSON ``true`` would pass as 1.  Otherwise ``ConfigError``
+    names the key and the expected type.
+    """
+    for key, value in check_keys(block, allowed, what).items():
+        kind = type(getattr(defaults, key))
+        if kind in (int, float) and (isinstance(value, bool)
+                                     or not isinstance(value, (int, kind))):
+            expected = "an int" if kind is int else "a number"
+            raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
+    return block
+
+
 def build_params(params, overrides: dict, what: str):
     """``params`` with the fields a config block ``what`` sets replaced."""
     fields = [f.name for f in dataclasses.fields(params)]
-    return dataclasses.replace(params, **check_keys(overrides, fields, what))
+    return dataclasses.replace(params, **check_fields(overrides, params, fields, what))
 
 
 def build_hybrid_overrides(overrides: dict = None):
@@ -494,7 +513,7 @@ def build_hybrid_overrides(overrides: dict = None):
     """
     if not overrides:
         return None
-    out = dict(check_keys(overrides, HYBRID_KEYS, "hybrid"))
+    out = dict(check_fields(overrides, HybridConfig(), HYBRID_KEYS, "hybrid"))
     if "refinement" in out:
         names = [r.value for r in Refinement]
         if out["refinement"] not in names:

@@ -184,8 +184,8 @@ def build_cluster_tree(
     never smaller than 2 cities, so recursion terminates and every leaf is a
     solvable subproblem.
     """
-    if leaf_max < 2:
-        raise ValueError("leaf_max must be >= 2")
+    if leaf_max < 2 or branching < 2:
+        raise ValueError("leaf_max and branching must be >= 2")
     root_seq = np.random.SeedSequence(seed)
 
     def split(indices, seq):

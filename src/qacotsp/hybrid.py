@@ -5,7 +5,8 @@ small TSP cycle (quantum-sampled colony, classical colony, or brute force),
 sibling solutions are visited in the order of a brute-force tour over their
 centroids, adjacent cycles are merged by the cheapest 2-edge exchange, and
 the root tour is optionally polished by 2-opt or a short classical colony
-run.
+run.  Global cycles (lists of city ids) pass from the leaves up to the root,
+where the cycle over all cities is validated and measured once.
 """
 
 from __future__ import annotations
@@ -62,50 +63,34 @@ class HybridConfig:
     kmeans_restarts: int = 10
 
 
-@dataclass
-class SubSolution:
-    indices: tuple
-    tour: Tour  # local positions into ``indices``
-    length: float
-
-    def global_cycle(self) -> list:
-        return [self.indices[p] for p in self.tour.order]
+def _first_shortest(D: np.ndarray, orders):
+    """The first of ``orders`` whose ``cycle_length`` over ``D`` is strictly shortest."""
+    best, best_len = None, np.inf
+    for order in orders:
+        length = cycle_length(D, order)
+        if length < best_len:
+            best, best_len = order, length
+    return best
 
 
 def brute_force_order(D: np.ndarray) -> Tour:
     """Exact minimum cycle by enumeration with city 0 fixed (k <= ~8)."""
     k = D.shape[0]
-    if k <= 2:
-        return Tour(tuple(range(k)))
-    best, best_len = None, np.inf
-    for perm in itertools.permutations(range(1, k)):
-        order = (0,) + perm
-        length = cycle_length(D, order)
-        if length < best_len:
-            best, best_len = order, length
-    return Tour(best)
+    return Tour(_first_shortest(D, ((0,) + p for p in itertools.permutations(range(1, k)))))
 
 
 def order_siblings(centroids) -> list:
     """Optimal cyclic visiting order of <= 4 centroids, brute-forced.
 
-    Ties resolve to the lexicographically smallest ordering because
-    permutations are enumerated in lexicographic order and only strict
-    improvements are kept.
+    All k! orders are tried over planar ``np.hypot`` centroid distances; ties
+    resolve to the lexicographically smallest ordering, because orders are
+    enumerated in lexicographic order and only strict improvements are kept.
     """
     pts = np.asarray(centroids, dtype=float)
     k = len(pts)
-    if k <= 2:
-        return list(range(k))
-    best, best_len = None, np.inf
-    for perm in itertools.permutations(range(k)):
-        length = 0.0
-        for idx in range(k):
-            a, b = pts[perm[idx]], pts[perm[(idx + 1) % k]]
-            length += float(np.hypot(*(a - b)))
-        if length < best_len:
-            best, best_len = perm, length
-    return list(best)
+    diff = pts[:, None, :] - pts[None, :, :]
+    return list(_first_shortest(np.hypot(diff[..., 0], diff[..., 1]),
+                                itertools.permutations(range(k))))
 
 
 def _merge_two_cycles(a: list, b: list, D: np.ndarray):
@@ -145,26 +130,19 @@ def _merge_two_cycles(a: list, b: list, D: np.ndarray):
     return best, float(best_add)
 
 
-def stitch(subtours: list, inst: Instance, metric: MetricMode = MetricMode.CANONICAL,
-           D: np.ndarray = None) -> Tour:
-    """Merge ordered sibling solutions into one cycle over the union.
+def stitch(cycles: list, D: np.ndarray) -> list:
+    """Merge ordered sibling cycles of city ids into one cycle over their union.
 
     Folds left over the list, joining the accumulated cycle with each next
-    cycle through the cheapest enumerated 2-edge exchange.  The result is
-    validated as a permutation of the union before being returned (as local
-    positions into the sorted union when the union is not the full instance).
+    cycle through the cheapest enumerated 2-edge exchange.  The merged cycle
+    is checked to cover exactly the cities of its input cycles.
     """
-    if D is None:
-        D = distance_matrix(inst, metric)
-    cycles = [s.global_cycle() for s in subtours]
     merged = cycles[0]
     for nxt in cycles[1:]:
         merged, _ = _merge_two_cycles(merged, nxt, D)
-    union = sorted(itertools.chain.from_iterable(s.indices for s in subtours))
-    if sorted(merged) != union:
+    if sorted(merged) != sorted(itertools.chain.from_iterable(cycles)):
         raise InvariantError("stitched cycle must cover the union exactly")
-    rank = {city: pos for pos, city in enumerate(union)}
-    return Tour(tuple(rank[c] for c in merged))
+    return merged
 
 
 def two_opt(tour: Tour, inst: Instance, metric: MetricMode = MetricMode.CANONICAL,
@@ -236,24 +214,17 @@ def _solve_leaf(inst, indices, config: HybridConfig, seed, D, stats: HybridStats
         stats.leaf_iterations += len(history)
     stats.leaf_sizes.append(k)
     stats.leaf_lengths.append(float(length))
-    return SubSolution(tuple(indices), tour, float(length))
+    return [indices[p] for p in tour.order]
 
 
-def _solve_node(inst, tree: ClusterTree, config, seed_counter, D, stats) -> SubSolution:
+def _solve_node(inst, tree: ClusterTree, config, seed_counter, D, stats) -> list:
     if tree.is_leaf:
         return _solve_leaf(inst, list(tree.node), config,
                            [config.seed, next(seed_counter)], D, stats)
-    subs = [_solve_node(inst, child, config, seed_counter, D, stats) for child in tree.children]
-    centroids = [inst.coords[list(s.indices)].mean(axis=0) for s in subs]
-    ordering = order_siblings(centroids)
-    ordered = [subs[i] for i in ordering]
-    tour = stitch(ordered, inst, config.metric, D=D)
-    union = tuple(sorted(itertools.chain.from_iterable(s.indices for s in ordered)))
-    cycle = [union[p] for p in tour.order]
-    if not validate_tour(tour.order, len(union)):
-        raise InvariantError(f"stitched tour is not a permutation of {len(union)} cities")
-    length = cycle_length(D, cycle)
-    return SubSolution(union, tour, float(length))
+    cycles = [_solve_node(inst, c, config, seed_counter, D, stats) for c in tree.children]
+    # Means over c.node, which is sorted: rows in cycle order may round differently.
+    centroids = [inst.coords[list(c.node)].mean(axis=0) for c in tree.children]
+    return stitch([cycles[i] for i in order_siblings(centroids)], D)
 
 
 def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
@@ -276,12 +247,12 @@ def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
     )
     stats.tree_depth = tree.depth()
 
-    root = _solve_node(inst, tree, config, itertools.count(), D, stats)
-    if root.indices != tuple(range(inst.dimension)):
-        raise InvariantError(f"cluster tree does not cover the {inst.dimension} cities")
-    stitched = root.tour
-    stats.stitched_length = root.length
-    stats.stitch_cost = root.length - sum(stats.leaf_lengths)
+    cycle = _solve_node(inst, tree, config, itertools.count(), D, stats)
+    if not validate_tour(cycle, inst.dimension):
+        raise InvariantError(f"stitched tour is not a permutation of {inst.dimension} cities")
+    stitched = Tour(tuple(cycle))
+    stats.stitched_length = cycle_length(D, cycle)
+    stats.stitch_cost = stats.stitched_length - sum(stats.leaf_lengths)
 
     if config.refinement is Refinement.TWO_OPT:
         refined = two_opt(stitched, inst, config.metric,

@@ -99,6 +99,10 @@ class QacoParams:
     convergence_window: int = 200
     pool_capacity: int = 10
 
+    def __post_init__(self):
+        if min(self.n_ants, self.max_iter, self.pool_capacity) < 1:
+            raise ValueError("n_ants, max_iter and pool_capacity must be >= 1")
+
 
 @dataclass
 class PheromoneRegister:

@@ -327,6 +327,55 @@ def test_cli_bad_config_key_exits_2_before_writing(config, allowed, tmp_path, ca
     assert allowed in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver, config, key", [
+    ("aco", {"aco_params": {"iterations": "5"}}, "iterations"),
+    ("aco", {"aco_params": {"alpha": "1"}}, "alpha"),
+    ("qaco-hybrid", {"qaco_params": {"n_ants": 2.5}}, "n_ants"),
+    ("qaco-hybrid", {"qaco_params": {"stall_window": "5"}}, "stall_window"),
+    ("qaco-hybrid", {"hybrid": {"two_opt_max_passes": "3"}}, "two_opt_max_passes"),
+    ("qaco-hybrid", {"qaco_params": {"max_iter": 0}}, "max_iter"),
+    ("aco", {"aco_params": {"iterations": 0}}, "iterations"),
+    ("aco", {"aco_params": {"n_ants": 0}}, "n_ants"),
+    ("qaco-hybrid", {"qaco_params": {"pool_capacity": 0}}, "pool_capacity"),
+    ("qaco-hybrid", {"qaco_params": {"n_ants": 0}}, "n_ants"),
+    ("qaco-hybrid", {"hybrid": {"branching": 1}}, "branching"),
+    ("aco", {"aco_params": {"q0": True}}, "q0"),
+], ids=["aco-iterations-str", "aco-alpha-str", "qaco-n-ants-float", "qaco-stall-window-str",
+        "hybrid-two-opt-passes-str", "qaco-max-iter-0", "aco-iterations-0", "aco-n-ants-0",
+        "qaco-pool-capacity-0", "qaco-n-ants-0", "hybrid-branching-1", "aco-q0-bool"])
+def test_cli_bad_config_value_exits_2_before_writing(solver, config, key, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "runs"
+    assert cli.main(["solve", "--instance", "random:12:5:100", "--solver", solver,
+                     "--seeds", "0", "--out", str(out), "--config", str(path)]) == 2
+    assert not out.exists()
+    assert key in capsys.readouterr().err
+
+
+def test_cli_aco_polish_with_zero_iterations_keeps_the_stitched_tour(tmp_path):
+    out = tmp_path / "runs"
+    config = tmp_path / "polish.json"
+    for name, refinement in (("none", {}), ("polish", {"refinement": "aco-polish",
+                                                      "polish_iterations": 0})):
+        config.write_text(json.dumps({"qaco_params": {"max_iter": 20},
+                                      "hybrid": {"refinement": "none", **refinement}}))
+        assert cli.main(["solve", "--instance", "random:12:5:100", "--seeds", "0",
+                         "--out", str(out / name), "--config", str(config)]) == 0
+    assert ((out / "none" / "results.csv").read_text()
+            == (out / "polish" / "results.csv").read_text())
+
+
+def test_cli_noise_sweep_rejects_empty_levels_before_writing(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"levels": []}))
+    out = tmp_path / "runs"
+    assert cli.main(["noise-sweep", "--instance", "random:8:5:100", "--noise", "bitflip",
+                     "--seeds", "0", "--out", str(out), "--config", str(path)]) == 2
+    assert not out.exists()
+    assert "noise level" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("csv_text, json_text", [
     (records_to_csv_text([RunRecord("demo", "aco", 0, "none", 0.0, 10.0, 5, 1.5, (0, 1, 2))]),
      '{"a": 1}\n'),

@@ -11,7 +11,6 @@ from qacotsp.hybrid import (
     InvariantError,
     LeafSolver,
     Refinement,
-    SubSolution,
     brute_force_order,
     order_siblings,
     solve_hybrid,
@@ -107,13 +106,9 @@ def pair_instance():
 def test_stitch_two_pairs_best_four_cycle():
     inst = pair_instance()
     D = distance_matrix(inst, MetricMode.PLAIN)
-    subs = [
-        SubSolution((0, 1), Tour((0, 1)), 4.0),
-        SubSolution((2, 3), Tour((0, 1)), 4.0),
-    ]
-    tour = stitch(subs, inst, MetricMode.PLAIN)
-    assert validate_tour(tour.order, 4)
-    length = tour_length(inst, tour, MetricMode.PLAIN)
+    cycle = stitch([[0, 1], [2, 3]], D)
+    assert validate_tour(cycle, 4)
+    length = tour_length(inst, Tour(tuple(cycle)), MetricMode.PLAIN)
     # oracle: enumerate every 4-cycle
     best = min(
         sum(D[c[i], c[(i + 1) % 4]] for i in range(4))
@@ -123,10 +118,8 @@ def test_stitch_two_pairs_best_four_cycle():
 
 
 def test_stitch_single_subtour_unchanged():
-    inst = pair_instance()
-    sub = SubSolution((0, 1, 2, 3), Tour((0, 2, 1, 3)), 1.0)
-    tour = stitch([sub], inst, MetricMode.PLAIN)
-    assert tour.order == (0, 2, 1, 3)
+    D = distance_matrix(pair_instance(), MetricMode.PLAIN)
+    assert stitch([[0, 2, 1, 3]], D) == [0, 2, 1, 3]
 
 
 def test_stitch_pair_merge_is_locally_optimal():
@@ -136,13 +129,11 @@ def test_stitch_pair_merge_is_locally_optimal():
         inst = gen_random_instance(8, 300 + trial, 100.0)
         D = distance_matrix(inst, MetricMode.PLAIN)
         a, b = [0, 1, 2, 3], [4, 5, 6, 7]
-        sub_a = SubSolution(tuple(a), brute_force_order(D[np.ix_(a, a)]), 0.0)
-        sub_b = SubSolution(tuple(b), brute_force_order(D[np.ix_(b, b)]), 0.0)
-        tour = stitch([sub_a, sub_b], inst, MetricMode.PLAIN)
-        got = tour_length(inst, tour, MetricMode.PLAIN)
+        cyc_a = [a[p] for p in brute_force_order(D[np.ix_(a, a)]).order]
+        cyc_b = [b[p] for p in brute_force_order(D[np.ix_(b, b)]).order]
+        cycle = stitch([cyc_a, cyc_b], D)
+        got = tour_length(inst, Tour(tuple(cycle)), MetricMode.PLAIN)
 
-        cyc_a = [a[p] for p in sub_a.tour.order]
-        cyc_b = [b[p] for p in sub_b.tour.order]
         best = math.inf
         for i in range(4):
             for j in range(4):
@@ -279,15 +270,16 @@ def test_brute_force_order_small():
 # invariant checks (explicit raises, kept under python -O)
 
 
-def test_stitch_raises_when_union_not_covered():
-    inst = gen_random_instance(3, 1, 100.0)
-    broken = SubSolution((0, 1, 2), Tour((1, 0)), 1.0)  # city 2 never visited
+def test_stitch_raises_when_union_not_covered(monkeypatch):
+    D = distance_matrix(gen_random_instance(4, 1, 100.0), MetricMode.PLAIN)
+    # a merge that drops the next cycle's first city
+    monkeypatch.setattr(hybrid, "_merge_two_cycles", lambda a, b, D: (a + b[1:], 0.0))
     with pytest.raises(InvariantError):
-        stitch([broken], inst, MetricMode.PLAIN)
+        stitch([[0, 1], [2, 3]], D)
 
 
 def test_solve_hybrid_raises_on_malformed_stitched_tour(monkeypatch):
-    monkeypatch.setattr(hybrid, "stitch", lambda subs, inst, metric, D: Tour((0, 1)))
+    monkeypatch.setattr(hybrid, "stitch", lambda cycles, D: [0, 1])
     with pytest.raises(InvariantError):
         solve_hybrid(gen_random_instance(9, 2, 100.0),
                      HybridConfig(seed=0, metric=MetricMode.PLAIN, kmeans_restarts=1))

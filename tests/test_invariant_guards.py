@@ -2,9 +2,9 @@
 
 ``-O`` strips ``assert`` statements, so the package checks its invariants
 with explicit raises.  One test keeps ``assert`` out of the package source;
-another runs an invariant trigger in an optimized interpreter.  A third keeps
-environment reads (``os.environ``, ``os.getenv``) out of the package, so no
-hidden knob changes what a run does.
+two others run invariant triggers (the cluster split and the stitch) in an
+optimized interpreter.  Another keeps environment reads (``os.environ``,
+``os.getenv``) out of the package, so no hidden knob changes what a run does.
 """
 
 import ast
@@ -51,11 +51,32 @@ except tsplib.InvariantError as exc:
     print("raised:", exc)
 """
 
+STITCH_TRIGGER = """
+from qacotsp import hybrid, tsplib
+assert False, "assert statements must be stripped under -O"
+hybrid._merge_two_cycles = lambda a, b, D: (a + b[1:], 0.0)  # drops a city
+try:
+    hybrid.stitch([[0, 1], [2, 3]], tsplib.distance_matrix(tsplib.gen_random_instance(4, 0)))
+except tsplib.InvariantError as exc:
+    print("raised:", exc)
+"""
 
-def test_invariant_raises_under_python_O():
+
+def run_optimized(code: str) -> str:
+    """Stdout of ``code`` run by ``python -O`` with the package importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", TRIGGER], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: part 0 of a 12-city node"), proc.stdout
+    return proc.stdout
+
+
+def test_invariant_raises_under_python_O():
+    out = run_optimized(TRIGGER)
+    assert out.startswith("raised: part 0 of a 12-city node"), out
+
+
+def test_stitch_invariant_raises_under_python_O():
+    out = run_optimized(STITCH_TRIGGER)
+    assert out.startswith("raised: stitched cycle must cover"), out
