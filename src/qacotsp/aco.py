@@ -39,6 +39,7 @@ from .tsplib import (
     Tour,
     cycle_length,
     distance_matrix,
+    sub_distance_matrix,
 )
 
 PHEROMONE_FLOOR = 1e-12
@@ -83,6 +84,13 @@ def heuristic_matrix(D: np.ndarray) -> np.ndarray:
     return eta
 
 
+def _weights(tau: np.ndarray, eta_beta: np.ndarray, alpha: float) -> np.ndarray:
+    """W = tau^alpha * eta^beta element by element, for a whole matrix or a gathered row."""
+    W = tau ** alpha
+    W *= eta_beta
+    return W
+
+
 def _step(row: np.ndarray, avail: np.ndarray, left: int, q0: float, rng) -> int:
     """One move of the pseudo-random-proportional rule; returns an index into ``row``.
 
@@ -117,8 +125,7 @@ def next_node(r: int, allowed, tau: np.ndarray, eta: np.ndarray, params: AcoPara
         raise EmptyAllowedSet(f"no candidate moves from node {r}")
     if np.any(allowed[1:] < allowed[:-1]):
         allowed = np.sort(allowed)
-    weights = tau[r, allowed] ** params.alpha
-    weights *= eta[r, allowed] ** params.beta
+    weights = _weights(tau[r, allowed], eta[r, allowed] ** params.beta, params.alpha)
     everyone = np.ones(allowed.size, dtype=bool)
     return int(allowed[_step(weights, everyone, allowed.size, params.q0, rng)])
 
@@ -126,18 +133,11 @@ def next_node(r: int, allowed, tau: np.ndarray, eta: np.ndarray, params: AcoPara
 def selection_probabilities(r: int, allowed, tau, eta, params: AcoParams) -> np.ndarray:
     """Normalized exploration-branch probabilities (sums to 1)."""
     allowed = np.sort(np.asarray(list(allowed), dtype=int))
-    weights = tau[r, allowed] ** params.alpha * eta[r, allowed] ** params.beta
+    weights = _weights(tau[r, allowed], eta[r, allowed] ** params.beta, params.alpha)
     total = weights.sum()
     if total <= 0.0:
         return np.full(allowed.size, 1.0 / allowed.size)
     return weights / total
-
-
-def _weights(tau: np.ndarray, eta_beta: np.ndarray, alpha: float) -> np.ndarray:
-    """W = tau^alpha * eta^beta by the same two numpy operations as ``next_node``."""
-    W = tau ** alpha
-    W *= eta_beta
-    return W
 
 
 def _construct(W: np.ndarray, q0: float, rng) -> Tour:
@@ -156,21 +156,10 @@ def _construct(W: np.ndarray, q0: float, rng) -> Tour:
     return Tour(tuple(order))
 
 
-def _local_distances(inst: Instance, indices: list, metric: MetricMode) -> np.ndarray:
-    """Distance matrix of the given cities alone, in local positions.
-
-    Every entry is computed element by element as in the full matrix, so
-    this equals the full matrix's rows and columns at ``indices`` without
-    building it.
-    """
-    sub = Instance(inst.name, len(indices), inst.edge_weight_type, inst.coords[indices])
-    return distance_matrix(sub, metric)
-
-
 def construct_tour(inst: Instance, indices, tau: np.ndarray, params: AcoParams,
                    rng: np.random.Generator, metric: MetricMode = MetricMode.CANONICAL) -> Tour:
     """One ant's tour over the given cities, in local 0..k-1 positions."""
-    eta = heuristic_matrix(_local_distances(inst, list(indices), metric))
+    eta = heuristic_matrix(sub_distance_matrix(distance_matrix(inst, metric), indices))
     return _construct(_weights(tau, eta ** params.beta, params.alpha), params.q0, rng)
 
 
@@ -210,7 +199,7 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
     if params.iterations < 1 and initial_tour is None:
         raise ValueError("iterations must be >= 1 without an initial tour")
     if D is None:
-        D = _local_distances(inst, indices, metric)
+        D = sub_distance_matrix(distance_matrix(inst, metric), indices)
     eta_beta = heuristic_matrix(D) ** params.beta
     tau = init_pheromone(k, params.tau0)
 

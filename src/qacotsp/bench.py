@@ -167,9 +167,12 @@ def run_cells(cells, metric: MetricMode, out_dir: str, qaco_params: QacoParams,
     """Run ``(instance, solver, seed, noise)`` cells in order; append their records.
 
     The records go to ``results.csv`` and ``results.json`` in ``out_dir``.
-    Both existing files are checked before any cell runs, so if either
-    cannot take the append (``ConfigError``), neither file is touched.
+    An empty cell list (an empty seed list, say) and an existing file that
+    cannot take the append are ``ConfigError`` before any cell runs, and
+    then neither file is touched.
     """
+    if not cells:
+        raise ConfigError("no runs to do: the seed list is empty")
     csv_path = os.path.join(out_dir, "results.csv")
     json_path = os.path.join(out_dir, "results.json")
     _existing_csv(csv_path)
@@ -178,8 +181,8 @@ def run_cells(cells, metric: MetricMode, out_dir: str, qaco_params: QacoParams,
                           hybrid_overrides)
                for inst, solver, seed, noise in cells]
     os.makedirs(out_dir, exist_ok=True)
-    write_records_csv(records, csv_path, append=True)
-    write_records_json(records, json_path, append=True)
+    write_records_csv(records, csv_path)
+    write_records_json(records, json_path)
     return records
 
 
@@ -219,18 +222,22 @@ def _existing_json(path) -> list:
     return records
 
 
-def write_records_csv(records, path, append: bool = False) -> None:
-    """Write the records as CSV; with ``append``, after an existing file's rows.
+def write_records_csv(records, path) -> None:
+    """Append the records as CSV rows to ``path``, a new file getting ``CSV_HEADER``.
 
-    An existing file to append to must start with ``CSV_HEADER``, else
-    ``ConfigError`` is raised and the file is left as it was.
+    An existing file must start with ``CSV_HEADER``, else ``ConfigError`` is
+    raised and the file is left as it was.
     """
-    text = _existing_csv(path) if append else CSV_HEADER + "\n"
-    _write_atomic(path, text + "".join(rec.csv_row() + "\n" for rec in records))
+    _write_atomic(path, _existing_csv(path) + "".join(rec.csv_row() + "\n" for rec in records))
 
 
-def write_records_json(records, path, append: bool = False) -> None:
-    existing = _existing_json(path) if append else []
+def write_records_json(records, path) -> None:
+    """Append the records to the JSON list at ``path``, a new file holding just them.
+
+    An existing file must hold a JSON list, else ``ConfigError`` is raised
+    and the file is left as it was.
+    """
+    existing = _existing_json(path)
     existing.extend(rec.to_json() for rec in records)
     _write_atomic(path, json.dumps(existing, indent=1) + "\n")
 
@@ -275,19 +282,22 @@ def cmd_solve(instance_spec: str, solver: str, seeds, noise: NoiseSpec,
 
 def cmd_compare(dataset_specs, seeds, metric: MetricMode, out_dir: str,
                 optima: dict = None, qaco_params=QacoParams(),
-                aco_params=AcoParams(), hybrid_overrides=None,
-                solvers=SOLVERS) -> list:
+                aco_params=AcoParams(), hybrid_overrides=None) -> list:
     """Median-over-seeds table of every solver on every dataset.
 
     Returns the table rows as dicts and writes comparison.csv plus the raw
-    records.
+    records.  ``optima`` maps dataset names to known optimum lengths; it
+    must be a JSON object of numbers, else ``ConfigError`` before any run.
     """
-    optima = optima or {}
+    optima = {} if optima is None else optima
+    if not isinstance(optima, dict) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in optima.values()):
+        raise ConfigError(f"optima must be a JSON object of numbers, got {optima!r}")
     instances = [resolve_instance(spec) for spec in dataset_specs]
     cells = [
         (inst, solver, int(seed), NoiseSpec())
         for inst in instances
-        for solver in solvers
+        for solver in SOLVERS
         for seed in seeds
     ]
     records = run_cells(cells, metric, out_dir, qaco_params, aco_params, hybrid_overrides)
@@ -295,7 +305,7 @@ def cmd_compare(dataset_specs, seeds, metric: MetricMode, out_dir: str,
     rows = []
     for inst in instances:
         row = {"dataset": inst.name, "optimum": optima.get(inst.name, "")}
-        for solver in solvers:
+        for solver in SOLVERS:
             lengths = [r.length for r in records
                        if r.dataset == inst.name and r.solver == solver]
             row[solver] = median(lengths)
@@ -305,9 +315,8 @@ def cmd_compare(dataset_specs, seeds, metric: MetricMode, out_dir: str,
     for row in rows:
         opt = f"{row['optimum']:g}" if row["optimum"] != "" else ""
         lines.append(
-            f"{row['dataset']},{opt},{row.get('aco', float('nan')):.6f},"
-            f"{row.get('qaco-hybrid', float('nan')):.6f},"
-            f"{row.get('clustered-aco', float('nan')):.6f}\n"
+            f"{row['dataset']},{opt},{row['aco']:.6f},{row['qaco-hybrid']:.6f},"
+            f"{row['clustered-aco']:.6f}\n"
         )
     _write_atomic(os.path.join(out_dir, "comparison.csv"), "".join(lines))
     return rows
@@ -505,15 +514,16 @@ def build_params(params, overrides: dict, what: str):
     return dataclasses.replace(params, **check_fields(overrides, params, fields, what))
 
 
-def build_hybrid_overrides(overrides: dict = None):
+def build_hybrid_overrides(overrides: dict):
     """A config's ``hybrid`` block as ``HybridConfig`` keywords, or None if empty.
 
-    The block may set only ``HYBRID_KEYS``.  ``refinement`` is converted from
-    its name (``"aco-polish"``) to the ``Refinement`` member.
+    The block must be a JSON object that sets only ``HYBRID_KEYS``.
+    ``refinement`` is converted from its name (``"aco-polish"``) to the
+    ``Refinement`` member.
     """
-    if not overrides:
-        return None
     out = dict(check_fields(overrides, HybridConfig(), HYBRID_KEYS, "hybrid"))
+    if not out:
+        return None
     if "refinement" in out:
         names = [r.value for r in Refinement]
         if out["refinement"] not in names:

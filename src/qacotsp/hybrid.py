@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aco import AcoParams, aco_solve
-from .cluster import ClusterTree, build_cluster_tree
+from .cluster import ClusterTree, build_cluster_tree, centroid_of
 from .qaco import QacoParams, qaco_solve
 from .qsim import NO_NOISE, NoiseSpec
 from .tsplib import (
@@ -30,6 +30,7 @@ from .tsplib import (
     Tour,
     cycle_length,
     distance_matrix,
+    sub_distance_matrix,
     validate_tour,
 )
 
@@ -97,19 +98,13 @@ def _merge_two_cycles(a: list, b: list, D: np.ndarray):
     """Cheapest single 2-edge exchange joining two disjoint cycles.
 
     Every pair of (edge of a, edge of b) is tried in both reconnection
-    orientations; returns (merged cycle, added length).
+    orientations; returns (merged cycle, added length).  A one-city cycle
+    [x], swapped into ``b`` if it is ``a``, has the single edge (x, x).  This
+    relies on D's zero diagonal: an exchange then costs exactly the insertion
+    of x into an edge of the other cycle, and the reversed orientation ties.
     """
     if len(a) == 1:
-        best, best_add = None, np.inf
-        for i in range(len(b)):
-            nxt = b[(i + 1) % len(b)]
-            add = D[b[i], a[0]] + D[a[0], nxt] - (D[b[i], nxt] if len(b) > 1 else 0.0)
-            if add < best_add:
-                best, best_add = b[: i + 1] + [a[0]] + b[i + 1:], add
-        return best, float(best_add)
-    if len(b) == 1:
-        return _merge_two_cycles(b, a, D)
-
+        a, b = b, a
     la, lb = len(a), len(b)
     best, best_add = None, np.inf
     for i in range(la):
@@ -197,7 +192,7 @@ class HybridStats:
 
 def _solve_leaf(inst, indices, config: HybridConfig, seed, D, stats: HybridStats):
     k = len(indices)
-    sub = D[np.ix_(indices, indices)]
+    sub = sub_distance_matrix(D, indices)
     if k <= 3 or config.leaf_solver is LeafSolver.BRUTE_FORCE:
         tour = brute_force_order(sub)
         length = cycle_length(sub, tour.order)
@@ -223,7 +218,7 @@ def _solve_node(inst, tree: ClusterTree, config, seed_counter, D, stats) -> list
                            [config.seed, next(seed_counter)], D, stats)
     cycles = [_solve_node(inst, c, config, seed_counter, D, stats) for c in tree.children]
     # Means over c.node, which is sorted: rows in cycle order may round differently.
-    centroids = [inst.coords[list(c.node)].mean(axis=0) for c in tree.children]
+    centroids = [centroid_of(inst, c.node) for c in tree.children]
     return stitch([cycles[i] for i in order_siblings(centroids)], D)
 
 

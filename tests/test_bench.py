@@ -376,6 +376,40 @@ def test_cli_noise_sweep_rejects_empty_levels_before_writing(tmp_path, capsys):
     assert "noise level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--instance", "random:8:5:100", "--solver", "aco"],
+    ["compare", "--datasets", "random:8:5:100"],
+    ["noise-sweep", "--instance", "random:8:5:100", "--noise", "bitflip"],
+], ids=["solve", "compare", "noise-sweep"])
+def test_cli_empty_seed_list_exits_2_before_writing(command, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert cli.main(command + ["--seeds", "", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "seed list is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block", [[], 0, False, ""], ids=["list", "zero", "false", "string"])
+def test_cli_non_object_hybrid_block_exits_2_before_writing(block, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"hybrid": block}))
+    out = tmp_path / "runs"
+    assert cli.main(["solve", "--instance", "random:8:5:100", "--seeds", "0",
+                     "--out", str(out), "--config", str(path)]) == 2
+    assert not out.exists()
+    assert "hybrid must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("optima", [[1], {"random-8-s5": "x"}], ids=["list", "string-value"])
+def test_cli_compare_bad_optima_exits_2_before_writing(optima, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"optima": optima}))
+    out = tmp_path / "runs"
+    assert cli.main(["compare", "--datasets", "random:8:5:100", "--seeds", "0",
+                     "--out", str(out), "--config", str(path)]) == 2
+    assert not out.exists()
+    assert "optima must be a JSON object of numbers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("csv_text, json_text", [
     (records_to_csv_text([RunRecord("demo", "aco", 0, "none", 0.0, 10.0, 5, 1.5, (0, 1, 2))]),
      '{"a": 1}\n'),
@@ -425,16 +459,14 @@ def test_append_refuses_a_foreign_csv_header(tmp_path):
     path = tmp_path / "results.csv"
     path.write_text("city,x,y\n1,2,3\n")
     with pytest.raises(ConfigError):
-        write_records_csv([_record(0)], path, append=True)
+        write_records_csv([_record(0)], path)
     assert path.read_text() == "city,x,y\n1,2,3\n"
-    write_records_csv([_record(0)], path)  # without append the file is replaced
-    assert path.read_text() == records_to_csv_text([_record(0)])
 
 
 def test_append_keeps_existing_bytes(tmp_path):
     path = tmp_path / "results.csv"
-    write_records_csv([_record(0)], path, append=True)
-    write_records_csv([_record(1), _record(2)], path, append=True)
+    write_records_csv([_record(0)], path)
+    write_records_csv([_record(1), _record(2)], path)
     assert path.read_text() == records_to_csv_text([_record(0), _record(1), _record(2)])
 
 
@@ -449,7 +481,7 @@ def test_failed_write_leaves_no_partial_file(writer, tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench.os, "replace", fail)
     with pytest.raises(OSError):
-        writer([_record(1)], path, append=True)
+        writer([_record(1)], path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["results.out"]
     with pytest.raises(OSError):

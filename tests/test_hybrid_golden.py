@@ -7,7 +7,7 @@ over each run's tour, its length as a hex float and its ``HybridStats``
 walk that changes any tour, any length or any statistic shows here.
 
 The brute-force configuration with ``leaf_max=2`` and ``branching=3`` gives
-one-city leaves, which exercise the one-city branch of the cycle merge and
+one-city leaves, which exercise one-city cycles in the cycle merge and
 its ties under the rounded metric.
 """
 

@@ -1,0 +1,115 @@
+"""Golden test for the cycle merge: ``_merge_two_cycles`` against a frozen reference.
+
+``reference_merge`` below is the merge as it stood with a separate branch
+for a one-city cycle (and a swap of the arguments when only the second cycle
+has one city).  The merge under test must return the same merged cycle and
+the same added length, bit for bit, on disjoint cycle pairs of every size
+from 1 to 6 on each side, including (1, 1), (1, k) and (k, 1).
+
+Distance matrices come from three sources:
+
+* subsets of every bundled dataset, under both metrics;
+* random instances in a 10-unit box under the canonical (rounded) metric,
+  where many candidate exchanges tie;
+* an integer lattice under the plain metric, whose distances tie exactly.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from qacotsp.hybrid import _merge_two_cycles
+from qacotsp.tsplib import (
+    Instance,
+    MetricMode,
+    distance_matrix,
+    gen_random_instance,
+    load_instance,
+)
+
+SIZES = range(1, 7)
+TRIALS = 3
+
+
+def reference_merge(a: list, b: list, D: np.ndarray):
+    """Cheapest single 2-edge exchange joining two disjoint cycles.
+
+    Every pair of (edge of a, edge of b) is tried in both reconnection
+    orientations; returns (merged cycle, added length).
+    """
+    if len(a) == 1:
+        best, best_add = None, np.inf
+        for i in range(len(b)):
+            nxt = b[(i + 1) % len(b)]
+            add = D[b[i], a[0]] + D[a[0], nxt] - (D[b[i], nxt] if len(b) > 1 else 0.0)
+            if add < best_add:
+                best, best_add = b[: i + 1] + [a[0]] + b[i + 1:], add
+        return best, float(best_add)
+    if len(b) == 1:
+        return reference_merge(b, a, D)
+
+    la, lb = len(a), len(b)
+    best, best_add = None, np.inf
+    for i in range(la):
+        a1, a2 = a[i], a[(i + 1) % la]
+        for j in range(lb):
+            b1, b2 = b[j], b[(j + 1) % lb]
+            removed = D[a1, a2] + D[b1, b2]
+            # forward: ... a1 -> b2 ... b1 -> a2 ...
+            add_f = D[a1, b2] + D[b1, a2] - removed
+            if add_f < best_add:
+                rolled = b[j + 1:] + b[: j + 1]
+                best, best_add = a[: i + 1] + rolled + a[i + 1:], add_f
+            # reversed: ... a1 -> b1 ... b2 -> a2 ...
+            add_r = D[a1, b1] + D[b2, a2] - removed
+            if add_r < best_add:
+                rolled = b[j + 1:] + b[: j + 1]
+                best, best_add = a[: i + 1] + rolled[::-1] + a[i + 1:], add_r
+    return best, float(best_add)
+
+
+def lattice(side: int) -> Instance:
+    coords = [(float(x), float(y)) for x in range(side) for y in range(side)]
+    return Instance(f"lattice{side}", side * side, "EUC_2D", coords)
+
+
+def _matrices(data_dir):
+    for path in sorted(data_dir.glob("*.tsp")):
+        inst = load_instance(str(path))
+        for metric in (MetricMode.CANONICAL, MetricMode.PLAIN):
+            yield f"{inst.name}-{metric.value}", distance_matrix(inst, metric)
+    for seed in range(3):
+        inst = gen_random_instance(24, seed, 10.0)
+        yield inst.name, distance_matrix(inst, MetricMode.CANONICAL)
+    yield "lattice4", distance_matrix(lattice(4), MetricMode.PLAIN)
+
+
+def _cycle_pairs(n: int, rng):
+    """Disjoint random cycle pairs of every (len a, len b) in ``SIZES`` x ``SIZES``."""
+    for la, lb in itertools.product(SIZES, SIZES):
+        for _ in range(TRIALS):
+            cities = [int(c) for c in rng.permutation(n)[: la + lb]]
+            yield cities[:la], cities[la:]
+
+
+def test_merge_matches_the_reference_on_every_size_pair(data_dir):
+    merges = 0
+    for name, D in _matrices(data_dir):
+        rng = np.random.default_rng(len(D))
+        for a, b in _cycle_pairs(len(D), rng):
+            merged, added = _merge_two_cycles(list(a), list(b), D)
+            want, want_added = reference_merge(list(a), list(b), D)
+            assert (merged, added.hex()) == (want, want_added.hex()), (name, a, b)
+            merges += 1
+    assert merges == 16 * len(SIZES) ** 2 * TRIALS
+
+
+@pytest.mark.parametrize("a, b", [([3], [7]), ([0], [1, 2, 3]), ([1, 2, 3], [0]),
+                                  ([5], [0, 1, 2, 4, 6, 8])])
+def test_one_city_cycles_on_lattice_ties(a, b):
+    # on a lattice many one-city insertions cost the same
+    D = distance_matrix(lattice(3), MetricMode.PLAIN)
+    merged, added = _merge_two_cycles(list(a), list(b), D)
+    want, want_added = reference_merge(list(a), list(b), D)
+    assert (merged, added.hex()) == (want, want_added.hex())
