@@ -39,7 +39,6 @@ from .tsplib import (
     Tour,
     cycle_length,
     distance_matrix,
-    sub_distance_matrix,
 )
 
 PHEROMONE_FLOOR = 1e-12
@@ -159,7 +158,7 @@ def _construct(W: np.ndarray, q0: float, rng) -> Tour:
 def construct_tour(inst: Instance, indices, tau: np.ndarray, params: AcoParams,
                    rng: np.random.Generator, metric: MetricMode = MetricMode.CANONICAL) -> Tour:
     """One ant's tour over the given cities, in local 0..k-1 positions."""
-    eta = heuristic_matrix(sub_distance_matrix(distance_matrix(inst, metric), indices))
+    eta = heuristic_matrix(distance_matrix(inst, metric, indices))
     return _construct(_weights(tau, eta ** params.beta, params.alpha), params.q0, rng)
 
 
@@ -199,7 +198,7 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
     if params.iterations < 1 and initial_tour is None:
         raise ValueError("iterations must be >= 1 without an initial tour")
     if D is None:
-        D = sub_distance_matrix(distance_matrix(inst, metric), indices)
+        D = distance_matrix(inst, metric, indices)
     eta_beta = heuristic_matrix(D) ** params.beta
     tau = init_pheromone(k, params.tau0)
 

@@ -23,8 +23,6 @@ import numpy as np
 
 from .aco import AcoParams, aco_solve
 from .circuit_error import (
-    DEFAULT_MEASUREMENT_RATE,
-    SINGLE_QUBIT_RATE,
     CircuitErrorReport,
     estimate_circuit_error,
     layer,
@@ -288,12 +286,19 @@ def cmd_compare(dataset_specs, seeds, metric: MetricMode, out_dir: str,
     Returns the table rows as dicts and writes comparison.csv plus the raw
     records.  ``optima`` maps dataset names to known optimum lengths; it
     must be a JSON object of numbers, else ``ConfigError`` before any run.
+    Two datasets of one name, whose rows would mix, are one too
+    (``random:8:5:100`` and ``random:8:5:1000`` are both ``random-8-s5``).
     """
     optima = {} if optima is None else optima
     if not isinstance(optima, dict) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in optima.values()):
         raise ConfigError(f"optima must be a JSON object of numbers, got {optima!r}")
     instances = [resolve_instance(spec) for spec in dataset_specs]
+    names = [inst.name for inst in instances]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ConfigError(f"datasets must have distinct names; {', '.join(duplicates)} "
+                          f"appears more than once")
     cells = [
         (inst, solver, int(seed), NoiseSpec())
         for inst in instances
@@ -372,7 +377,7 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
     os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
     svg_path = os.path.join(out_dir, "plots", f"deviation_{inst.name}_{noise_kind}.svg")
     dev_curve = [abs(level_medians[lvl] - baseline) / baseline * 100.0 for lvl in levels]
-    write_svg_plot(svg_path, [lvl * 100 for lvl in levels], {inst.name: dev_curve},
+    write_svg_plot(svg_path, [lvl * 100 for lvl in levels], inst.name, dev_curve,
                    title=f"{noise_kind} deviation vs noise level",
                    xlabel="noise level (%)", ylabel="deviation (%)")
     return {"baseline": baseline, "levels": level_medians, "deviation": deviation}
@@ -391,11 +396,7 @@ def cmd_estimate_error(layers_file: str = None, preset: str = None,
     if preset is not None:
         if preset not in ERROR_PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; have {sorted(ERROR_PRESETS)}")
-        layers = qaco_circuit_layers(
-            single_qubit_rate=SINGLE_QUBIT_RATE,
-            measurement_rate=DEFAULT_MEASUREMENT_RATE,
-            **ERROR_PRESETS[preset],
-        )
+        layers = qaco_circuit_layers(**ERROR_PRESETS[preset])
     else:
         with open(layers_file, "r", encoding="utf-8") as f:
             raw = json.load(f)
@@ -413,14 +414,13 @@ def cmd_estimate_error(layers_file: str = None, preset: str = None,
     return report
 
 
-def write_svg_plot(path, xs, series: dict, title="", xlabel="", ylabel="",
-                   width=640, height=420) -> None:
-    """Minimal self-contained SVG line/scatter plot, deterministic bytes."""
-    margin = 60
-    xs = list(xs)
-    all_ys = [y for ys in series.values() for y in ys]
+def write_svg_plot(path, xs, label: str, ys, title="", xlabel="", ylabel="") -> None:
+    """Minimal self-contained SVG line/scatter plot of one series, deterministic bytes."""
+    width, height, margin = 640, 420, 60
+    color = "#1f77b4"
+    xs, ys = list(xs), list(ys)
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(all_ys + [0.0]), max(all_ys + [1e-12])
+    y_lo, y_hi = min(ys + [0.0]), max(ys + [1e-12])
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -432,7 +432,6 @@ def write_svg_plot(path, xs, series: dict, title="", xlabel="", ylabel="",
     def py(y):
         return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
 
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -459,18 +458,16 @@ def write_svg_plot(path, xs, series: dict, title="", xlabel="", ylabel="",
             f'<text x="{margin - 6}" y="{py(y) + 3:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10">{y:.3g}</text>'
         )
-    for i, (label, ys) in enumerate(sorted(series.items())):
-        color = colors[i % len(colors)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
-        for x, y in zip(xs, ys):
-            parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" '
-                         f'fill="{color}"/>')
-        parts.append(
-            f'<text x="{width - margin + 4}" y="{margin + 14 * i + 10}" '
-            f'font-family="sans-serif" font-size="10" fill="{color}">{label}</text>'
-        )
+    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                 f'stroke-width="1.5"/>')
+    for x, y in zip(xs, ys):
+        parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" '
+                     f'fill="{color}"/>')
+    parts.append(
+        f'<text x="{width - margin + 4}" y="{margin + 10}" '
+        f'font-family="sans-serif" font-size="10" fill="{color}">{label}</text>'
+    )
     parts.append("</svg>")
     _write_atomic(path, "\n".join(parts) + "\n")
 

@@ -87,9 +87,7 @@ def estimate_circuit_error(layers) -> CircuitErrorReport:
                               depth=len(layers))
 
 
-def qaco_circuit_layers(k_cities: int, include_ancilla: bool = True,
-                        single_qubit_rate: float = SINGLE_QUBIT_RATE,
-                        measurement_rate: float = DEFAULT_MEASUREMENT_RATE) -> list:
+def qaco_circuit_layers(k_cities: int, include_ancilla: bool = True) -> list:
     """Layer structure of the path-search circuit for a k-city register.
 
     One layer of Ry gates (2 per city, plus the optional ancilla), then one
@@ -101,6 +99,6 @@ def qaco_circuit_layers(k_cities: int, include_ancilla: bool = True,
         raise ValueError("k_cities must be in 2..10")
     n_qubits = 2 * k_cities + (1 if include_ancilla else 0)
     return [
-        layer([("ry", n_qubits, single_qubit_rate)]),
-        layer([("measure", n_qubits, measurement_rate)]),
+        layer([("ry", n_qubits, SINGLE_QUBIT_RATE)]),
+        layer([("measure", n_qubits, DEFAULT_MEASUREMENT_RATE)]),
     ]

@@ -14,6 +14,8 @@ import numpy as np
 
 from .tsplib import Instance, InvariantError
 
+LLOYD_MAX_ITER = 100  # Lloyd iterations per K-means restart, unless centroids settle first
+
 
 class EmptyInput(ValueError):
     pass
@@ -83,11 +85,11 @@ def _kmeanspp_init(points, k, rng) -> np.ndarray:
     return np.asarray(centroids)
 
 
-def _lloyd(points, k, max_iter, rng):
+def _lloyd(points, k, rng):
     centroids = _kmeanspp_init(points, k, rng)
     labels = np.zeros(len(points), dtype=int)
     history = []
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)  # ties break toward the lowest id
 
@@ -116,7 +118,7 @@ def _lloyd(points, k, max_iter, rng):
     return ClusterAssignment(labels, centroids, history[-1], tuple(history))
 
 
-def kmeans(points, k: int, restarts: int = 10, max_iter: int = 100, seed=None) -> ClusterAssignment:
+def kmeans(points, k: int, restarts: int = 10, seed=None) -> ClusterAssignment:
     """Best-of-``restarts`` K-means with K-means++ initialization.
 
     Returns the restart with the lowest inertia; ties keep the earlier
@@ -132,7 +134,7 @@ def kmeans(points, k: int, restarts: int = 10, max_iter: int = 100, seed=None) -
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     best = None
     for child in root.spawn(restarts):
-        result = _lloyd(points, k, max_iter, np.random.default_rng(child))
+        result = _lloyd(points, k, np.random.default_rng(child))
         if best is None or result.inertia < best.inertia:
             best = result
     return best
@@ -175,7 +177,6 @@ def build_cluster_tree(
     branching: int = 4,
     seed=None,
     restarts: int = 10,
-    max_iter: int = 100,
 ) -> ClusterTree:
     """Recursively K-means-partition the cities into leaves of <= leaf_max.
 
@@ -196,7 +197,7 @@ def build_cluster_tree(
         k = min(branching, math.ceil(size / leaf_max), size)
         km_seed, *child_seqs = seq.spawn(k + 1)
         points = inst.coords[list(indices)]
-        assignment = kmeans(points, k, restarts=restarts, max_iter=max_iter, seed=km_seed)
+        assignment = kmeans(points, k, restarts=restarts, seed=km_seed)
         # Parts of >= 2 cities whenever arithmetic allows (leaf_max = 2 with
         # an odd node is the one case where a singleton is unavoidable).
         min_size = 2 if size >= 2 * k else 1

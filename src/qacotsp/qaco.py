@@ -44,7 +44,6 @@ from .tsplib import (
     Tour,
     cycle_length,
     distance_matrix,
-    sub_distance_matrix,
 )
 
 MAX_CITIES = 4  # 2 bits per position, 8 path qubits
@@ -207,13 +206,13 @@ def _repair_cdf(distances) -> list:
 
 
 def _repair(code: int, pool_codes: list, iteration: int, k: int, rng: np.random.Generator,
-            cdfs: dict, window: int) -> int:
+            cdfs: dict) -> int:
     """Code of the feasible tour that replaces the infeasible measurement ``code``.
 
     ``cdfs`` caches ``_repair_cdf`` by distance tuple; a solve sees few
     distinct tuples.  ``bisect_right`` is ``searchsorted(side="right")``.
     """
-    if iteration <= window or not pool_codes:
+    if iteration <= RANDOM_FEASIBLE_WINDOW or not pool_codes:
         return _encode(rng.permutation(k).tolist())
     d = tuple([(code ^ c).bit_count() for c in pool_codes])
     cdf = cdfs.get(d)
@@ -224,27 +223,28 @@ def _repair(code: int, pool_codes: list, iteration: int, k: int, rng: np.random.
 
 
 def repair_infeasible(bits: str, pool: SolutionPool, iteration: int, k: int,
-                      rng: np.random.Generator,
-                      window: int = RANDOM_FEASIBLE_WINDOW) -> Tour:
+                      rng: np.random.Generator) -> Tour:
     """Replace an infeasible measurement with a feasible tour.
 
-    During the first ``window`` iterations (or while the pool is empty) the
-    replacement is a uniformly random permutation.  Afterwards pool entry i
-    is drawn with probability  p_i = (d_i * sum_j 1/d_j)^-1  where d_i is the
-    Hamming distance between ``bits`` and the entry's encoding; an infeasible
-    bitstring never equals a feasible encoding, so every d_i >= 1.  Raises
-    ``RepairError`` when the probabilities do not sum to 1 within 1e-12, and
-    ``TooManyCities`` for k > MAX_CITIES, which the 2-bit encoding cannot hold.
+    Up to iteration ``RANDOM_FEASIBLE_WINDOW`` (or while the pool is empty)
+    the replacement is a uniformly random permutation.  Afterwards pool entry
+    i is drawn with probability  p_i = (d_i * sum_j 1/d_j)^-1  where d_i is
+    the Hamming distance between ``bits`` and the entry's encoding; an
+    infeasible bitstring never equals a feasible encoding, so every d_i >= 1.
+    Raises ``RepairError`` when the probabilities do not sum to 1 within
+    1e-12, and ``TooManyCities`` for k > MAX_CITIES, which the 2-bit encoding
+    cannot hold.
     """
     if k > MAX_CITIES:
         raise TooManyCities(f"2-bit encoding holds at most {MAX_CITIES} cities")
     pool_codes = [int(e.bits, 2) for e in pool.entries]
-    code = _repair(int(bits, 2), pool_codes, iteration, k, rng, {}, window)
+    code = _repair(int(bits, 2), pool_codes, iteration, k, rng, {})
     return _decode_table(k)[code]
 
 
-def _rotate(thetas: list, x: int, b: int, worse: bool, table) -> list:
+def _rotate(thetas: list, x: int, b: int, worse: bool) -> list:
     """``rotation_update`` on a list of angles, with x and b as int codes."""
+    table = ROTATION_TABLE
     new = []
     shift = len(thetas)
     for theta in thetas:
@@ -256,8 +256,8 @@ def _rotate(thetas: list, x: int, b: int, worse: bool, table) -> list:
     return new
 
 
-def rotation_update(reg: PheromoneRegister, x: str, b: str, fx: float, fb: float,
-                    table=None) -> PheromoneRegister:
+def rotation_update(reg: PheromoneRegister, x: str, b: str, fx: float,
+                    fb: float) -> PheromoneRegister:
     """One lookup-table sweep of the register angles.
 
     ``x`` is the iteration-best bitstring, ``b`` the global-best one; the
@@ -267,11 +267,9 @@ def rotation_update(reg: PheromoneRegister, x: str, b: str, fx: float, fb: float
     toward the balanced angle region.  Results are clamped to the sampling
     bounds.
     """
-    if table is None:
-        table = ROTATION_TABLE
     if len(x) != len(reg.thetas) or len(b) != len(reg.thetas):
         raise LengthMismatch("bitstring length must equal register size")
-    new = _rotate(reg.thetas.tolist(), int(x, 2), int(b, 2), bool(fx > fb), table)
+    new = _rotate(reg.thetas.tolist(), int(x, 2), int(b, 2), bool(fx > fb))
     return PheromoneRegister(np.array(new, dtype=float))
 
 
@@ -316,7 +314,7 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
     if k > MAX_CITIES:
         raise TooManyCities(f"leaf solver handles at most {MAX_CITIES} cities")
     if D is None:
-        D = sub_distance_matrix(distance_matrix(inst, metric), indices)
+        D = distance_matrix(inst, metric, indices)
 
     if k == 2:
         tour = Tour((0, 1))
@@ -348,7 +346,7 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
         for ant in range(params.n_ants):
             code = sample_code(p1, q1, noise, rng)
             if tours[code] is None:
-                code = _repair(code, pool_codes, it, k, rng, cdfs, RANDOM_FEASIBLE_WINDOW)
+                code = _repair(code, pool_codes, it, k, rng, cdfs)
                 repairs += 1
             length = lengths[code]
             if pool.add(tours[code], bitstrings[code], length):
@@ -370,8 +368,7 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
                     mutations += 1
                     codes[ant] = mutated
 
-        thetas = _rotate(thetas, codes[iter_idx], best_code, iter_len > best_len,
-                         ROTATION_TABLE)
+        thetas = _rotate(thetas, codes[iter_idx], best_code, iter_len > best_len)
         history.append(best_len)
         if stagnant >= params.convergence_window:
             break

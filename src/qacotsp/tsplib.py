@@ -214,12 +214,11 @@ def parse_instance(text: str) -> Instance:
     return Instance(name=name, dimension=dimension, edge_weight_type=ewt, coords=coords)
 
 
-def format_instance(inst: Instance, comment: str = "") -> str:
+def format_instance(inst: Instance) -> str:
     """Serialize an instance back to the TSPLIB subset read by parse_instance."""
-    out = [f"NAME : {inst.name}", "TYPE : TSP"]
-    if comment:
-        out.append(f"COMMENT : {comment}")
-    out += [
+    out = [
+        f"NAME : {inst.name}",
+        "TYPE : TSP",
         f"DIMENSION : {inst.dimension}",
         f"EDGE_WEIGHT_TYPE : {inst.edge_weight_type}",
         "NODE_COORD_SECTION",
@@ -236,9 +235,9 @@ def load_instance(path) -> Instance:
         return parse_instance(f.read())
 
 
-def save_instance(inst: Instance, path, comment: str = "") -> None:
+def save_instance(inst: Instance, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(format_instance(inst, comment))
+        f.write(format_instance(inst))
 
 
 # TSPLIB reference constants for the GEO metric.
@@ -260,9 +259,15 @@ def _geo_radians(coords: np.ndarray) -> np.ndarray:
     return _GEO_PI * (deg + 5.0 * minutes / 3.0) / 180.0
 
 
-def distance_matrix(inst: Instance, mode: MetricMode = MetricMode.CANONICAL) -> np.ndarray:
-    """Full symmetric distance matrix under the chosen metric convention."""
-    xy = inst.coords
+def distance_matrix(inst: Instance, mode: MetricMode = MetricMode.CANONICAL,
+                    indices=None) -> np.ndarray:
+    """Symmetric distance matrix under the chosen metric convention.
+
+    Over all cities, or over just ``indices`` in their given order: entry
+    (i, j) is then the distance of cities ``indices[i]`` and ``indices[j]``,
+    bit for bit the entry of the full matrix, at O(k^2) cost for k indices.
+    """
+    xy = inst.coords if indices is None else inst.coords[np.asarray(indices, dtype=int)]
     if mode is MetricMode.PLAIN or inst.edge_weight_type == "EUC_2D":
         diff = xy[:, None, :] - xy[None, :, :]
         d = np.sqrt((diff ** 2).sum(axis=2))

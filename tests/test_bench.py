@@ -410,6 +410,15 @@ def test_cli_compare_bad_optima_exits_2_before_writing(optima, tmp_path, capsys)
     assert "optima must be a JSON object of numbers" in capsys.readouterr().err
 
 
+def test_cli_compare_duplicate_dataset_names_exit_2_before_writing(tmp_path, capsys):
+    # Both specs name their instance random-8-s5; the bound is not in the name.
+    out = tmp_path / "runs"
+    assert cli.main(["compare", "--datasets", "random:8:5:100,random:8:5:1000",
+                     "--seeds", "0", "--metric", "paper", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "random-8-s5 appears more than once" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("csv_text, json_text", [
     (records_to_csv_text([RunRecord("demo", "aco", 0, "none", 0.0, 10.0, 5, 1.5, (0, 1, 2))]),
      '{"a": 1}\n'),

@@ -5,15 +5,22 @@ with explicit raises.  One test keeps ``assert`` out of the package source;
 two others run invariant triggers (the cluster split and the stitch) in an
 optimized interpreter.  Another keeps environment reads (``os.environ``,
 ``os.getenv``) out of the package, so no hidden knob changes what a run does.
+The last ones hold the package to what the benchmark in ``perfbench/`` calls
+and traces, so dropping or renaming such a function fails here, not only
+under ``perfbench/run.py --trace 1``.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from qacotsp import bench, qaco
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted((SRC / "qacotsp").glob("*.py"))
@@ -80,3 +87,25 @@ def test_invariant_raises_under_python_O():
 def test_stitch_invariant_raises_under_python_O():
     out = run_optimized(STITCH_TRIGGER)
     assert out.startswith("raised: stitched cycle must cover"), out
+
+
+def traced_targets() -> tuple:
+    """``TRACED`` of ``perfbench/tracer.py``, read without importing perfbench."""
+    path = SRC.parent / "perfbench" / "tracer.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no TRACED assignment in {path}")
+
+
+@pytest.mark.parametrize("target", traced_targets())
+def test_traced_function_is_in_the_package(target):
+    module, name = target.split(".")
+    fn = getattr(importlib.import_module(f"qacotsp.{module}"), name, None)
+    assert callable(fn), f"perfbench traces {target}, which qacotsp no longer has"
+
+
+def test_benchmark_call_signatures():
+    params = inspect.signature(qaco.qaco_solve).parameters
+    assert {"inst", "indices", "metric", "D"} <= set(params)
+    inspect.signature(bench.run_single).bind("inst", "solver", 0, "noise", "metric")

@@ -104,6 +104,21 @@ def test_repair_single_entry_pool():
         assert repair_infeasible("11111111", pool, iteration=50, k=4, rng=rng).order == tour.order
 
 
+def test_repair_window_ends_after_iteration_10():
+    # RANDOM_FEASIBLE_WINDOW is 10: iteration 10 still repairs at random,
+    # iteration 11 draws from the pool, here its single entry.
+    pool = SolutionPool()
+    tour = Tour((1, 0, 2, 3))
+    pool.add(tour, encode_tour(tour, 4), 2.0)
+    rng = np.random.default_rng(4)
+    at_10 = {repair_infeasible("11111111", pool, iteration=10, k=4, rng=rng).order
+             for _ in range(50)}
+    at_11 = {repair_infeasible("11111111", pool, iteration=11, k=4, rng=rng).order
+             for _ in range(50)}
+    assert len(at_10) > 1
+    assert at_11 == {tour.order}
+
+
 def test_repair_inverse_hamming_two_four():
     # distances 2 and 4 -> Eq-style probabilities (d_i * sum_j 1/d_j)^-1
     bits = "11111100"

@@ -20,6 +20,7 @@ from qacotsp.tsplib import (
     gen_random_instance,
     load_instance,
     parse_instance,
+    sub_distance_matrix,
     tour_length,
     validate_tour,
 )
@@ -103,6 +104,25 @@ def test_distance_symmetry_and_zero():
         for _ in range(20):
             i, j = rng.integers(12, size=2)
             assert distance(inst, int(i), int(j), mode) == pytest.approx(D[i, j])
+
+
+DATASETS = ("bayg29", "berlin52", "eil51", "eil76", "ulysses16", "ulysses22")
+
+
+def test_subset_distance_matrix_equals_the_cut_out_one(data_dir):
+    # The gathered k x k matrix must equal rows/cols of the full one bit for
+    # bit (GEO and EUC_2D, both metrics), for k = 1 and unsorted indices too.
+    rng = np.random.default_rng(8)
+    instances = [load_instance(data_dir / f"{name}.tsp") for name in DATASETS]
+    instances.append(gen_random_instance(2000, 3))
+    for inst in instances:
+        for mode in MetricMode:
+            D = distance_matrix(inst, mode)
+            for k in range(1, min(40, inst.dimension) + 1):
+                for _ in range(3):
+                    idx = rng.choice(inst.dimension, size=k, replace=False).tolist()
+                    sub = distance_matrix(inst, mode, indices=idx)
+                    assert sub.tobytes() == sub_distance_matrix(D, idx).tobytes(), (inst.name, idx)
 
 
 def test_distance_index_out_of_range():
