@@ -195,8 +195,8 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
     seed_words = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     if any(w < 0 for w in seed_words):
         raise ValueError("seed words must be non-negative")
-    if params.iterations < 1 and initial_tour is None:
-        raise ValueError("iterations must be >= 1 without an initial tour")
+    if params.iterations < (0 if initial_tour is not None else 1):
+        raise ValueError("iterations must be >= 1, or >= 0 with an initial tour")
     if D is None:
         D = distance_matrix(inst, metric, indices)
     eta_beta = heuristic_matrix(D) ** params.beta

@@ -97,32 +97,36 @@ def order_siblings(centroids) -> list:
 def _merge_two_cycles(a: list, b: list, D: np.ndarray):
     """Cheapest single 2-edge exchange joining two disjoint cycles.
 
-    Every pair of (edge of a, edge of b) is tried in both reconnection
+    Every pair of (edge i of a, edge j of b) is tried in both reconnection
     orientations; returns (merged cycle, added length).  A one-city cycle
     [x], swapped into ``b`` if it is ``a``, has the single edge (x, x).  This
     relies on D's zero diagonal: an exchange then costs exactly the insertion
     of x into an edge of the other cycle, and the reversed orientation ties.
+
+    The added costs fill an (la, lb, 2) array, each entry summed in the same
+    order as a scalar loop would: ``removed`` first, then ``D[a1, b2] +
+    D[b1, a2] - removed``.  A loop over (i, j, orientation) that keeps only
+    strict improvements ends on the first occurrence of the minimum in that
+    order, which is the first minimum ``np.argmin`` finds in the C-ordered
+    array.
     """
     if len(a) == 1:
         a, b = b, a
-    la, lb = len(a), len(b)
-    best, best_add = None, np.inf
-    for i in range(la):
-        a1, a2 = a[i], a[(i + 1) % la]
-        for j in range(lb):
-            b1, b2 = b[j], b[(j + 1) % lb]
-            removed = D[a1, a2] + D[b1, b2]
-            # forward: ... a1 -> b2 ... b1 -> a2 ...
-            add_f = D[a1, b2] + D[b1, a2] - removed
-            if add_f < best_add:
-                rolled = b[j + 1:] + b[: j + 1]
-                best, best_add = a[: i + 1] + rolled + a[i + 1:], add_f
-            # reversed: ... a1 -> b1 ... b2 -> a2 ...
-            add_r = D[a1, b1] + D[b2, a2] - removed
-            if add_r < best_add:
-                rolled = b[j + 1:] + b[: j + 1]
-                best, best_add = a[: i + 1] + rolled[::-1] + a[i + 1:], add_r
-    return best, float(best_add)
+    A1, B1 = np.asarray(a), np.asarray(b)
+    A2, B2 = np.roll(A1, -1), np.roll(B1, -1)
+    removed = D[A1, A2][:, None] + D[B1, B2][None, :]
+    A1, A2 = A1[:, None], A2[:, None]
+    added = np.empty((len(a), len(b), 2), dtype=removed.dtype)
+    # forward: ... a1 -> b2 ... b1 -> a2 ...
+    np.subtract(D[A1, B2] + D[B1, A2], removed, out=added[..., 0])
+    # reversed: ... a1 -> b1 ... b2 -> a2 ...
+    np.subtract(D[A1, B1] + D[B2, A2], removed, out=added[..., 1])
+    best = int(np.argmin(added))
+    i, j, reverse = np.unravel_index(best, added.shape)
+    rolled = b[j + 1:] + b[: j + 1]
+    if reverse:
+        rolled = rolled[::-1]
+    return a[: i + 1] + rolled + a[i + 1:], float(added.flat[best])
 
 
 def stitch(cycles: list, D: np.ndarray) -> list:
@@ -144,35 +148,43 @@ def two_opt(tour: Tour, inst: Instance, metric: MetricMode = MetricMode.CANONICA
             max_passes: int = 20, D: np.ndarray = None) -> Tour:
     """First-improvement 2-opt sweeps; never returns a longer tour.
 
-    Distances are read as Python floats through a flat view of ``D``, in
-    which entry (r, c) sits at r * size + c; the view copies nothing.
+    For each i, the deltas of the exchanges (i, j) over the whole remaining
+    j range are one vector, each summed left to right in float64 as a scalar
+    loop would.  Reversing positions i+1..j leaves every position after j
+    in place, so the scalar loop's candidates after its first improvement
+    j are those of a rescan from j + 1 with the new b.  Taking the first
+    delta below -1e-12, reversing, and rescanning from j + 1 therefore makes
+    the scalar loop's moves in its order.
     """
+    if max_passes < 0:
+        raise ValueError(f"max_passes must be >= 0, got {max_passes}")
     if D is None:
         D = distance_matrix(inst, metric)
     n = len(tour.order)
     if n < 4:
         return tour
-    flat = memoryview(np.ascontiguousarray(D, dtype=np.float64)).cast("B").cast("d")
-    size = D.shape[0]
+    D = np.asarray(D, dtype=np.float64)
     # order[n] repeats order[0], which no reversal below moves.
-    order = list(tour.order) + [tour.order[0]]
+    order = np.array(tour.order + tour.order[:1], dtype=np.intp)
     for _ in range(max_passes):
         improved = False
         for i in range(n - 1):
-            a_row = order[i] * size
-            b = order[i + 1]
-            b_row, ab = b * size, flat[a_row + b]
-            for j in range(i + 2, n - 1 if i == 0 else n):
-                c, d = order[j], order[j + 1]
-                delta = flat[a_row + c] + flat[b_row + d] - ab - flat[c * size + d]
-                if delta < -1e-12:
-                    order[i + 1: j + 1] = order[i + 1: j + 1][::-1]
-                    b = order[i + 1]
-                    b_row, ab = b * size, flat[a_row + b]
-                    improved = True
+            Da = D[order[i]]
+            j, end = i + 2, n - 1 if i == 0 else n
+            while j < end:
+                b = order[i + 1]
+                c, d = order[j:end], order[j + 1:end + 1]
+                delta = Da[c] + D[b, d] - Da[b] - D[c, d]
+                hits = np.flatnonzero(delta < -1e-12)
+                if not hits.size:
+                    break
+                j += int(hits[0])
+                order[i + 1: j + 1] = order[i + 1: j + 1][::-1]
+                improved = True
+                j += 1
         if not improved:
             break
-    return Tour(tuple(order[:n]))
+    return Tour(order[:n])
 
 
 @dataclass

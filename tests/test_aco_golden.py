@@ -1,5 +1,5 @@
-"""Golden test: the ACS baseline's per-iteration weight matrix and the flat
-2-opt kernel against the seed's implementations.
+"""Golden test: the ACS baseline's per-iteration weight matrix and the
+vectorised 2-opt scan against the seed's implementations.
 
 The reference section below is the code they replaced, copied verbatim:
 ``heuristic_matrix``, ``next_node``, ``_construct``, ``construct_tour``,
@@ -358,10 +358,65 @@ def test_two_opt_on_a_stitched_tour():
     expected = two_opt(stitched, inst, PLAIN, D=D)
     assert hybrid.two_opt(stitched, inst, PLAIN, D=D) == expected
     assert expected != stitched
-    # a Fortran-ordered matrix is read through a C-ordered copy
+    # a Fortran-ordered matrix gives the same tour
     assert hybrid.two_opt(stitched, inst, PLAIN, D=np.asfortranarray(D)) == expected
     assert hybrid.two_opt(stitched, inst, PLAIN, max_passes=1) == \
         two_opt(stitched, inst, PLAIN, max_passes=1)
+
+
+@pytest.fixture(scope="module")
+def stitched_1000():
+    inst = resolve_instance("random:1000:2024")
+    config = HybridConfig(leaf_solver=LeafSolver.BRUTE_FORCE, refinement=Refinement.NONE,
+                          metric=PLAIN)
+    return inst, solve_hybrid(inst, config)[0], distance_matrix(inst, PLAIN)
+
+
+@pytest.mark.parametrize("max_passes", [0, 1, 2, 20])
+def test_two_opt_pass_cap_on_a_1000_city_stitched_tour(max_passes, stitched_1000):
+    # The tour converges after four passes, so 20 also runs the early exit.
+    inst, stitched, D = stitched_1000
+    expected = two_opt(stitched, inst, PLAIN, max_passes=max_passes, D=D)
+    assert hybrid.two_opt(stitched, inst, PLAIN, max_passes=max_passes, D=D) == expected
+    assert (expected == stitched) == (max_passes == 0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_two_opt_smallest_tours(n):
+    # For i == 0 the scan stops before j = n - 1, whose exchange would
+    # reverse the whole tour; at n = 4 that leaves a single candidate.
+    for inst_seed in range(30):
+        inst = gen_random_instance(n, 700 + inst_seed, 100.0)
+        rng = np.random.default_rng(inst_seed)
+        for max_passes in (1, 20):
+            start = Tour(tuple(int(v) for v in rng.permutation(n)))
+            assert hybrid.two_opt(start, inst, PLAIN, max_passes=max_passes) == \
+                two_opt(start, inst, PLAIN, max_passes=max_passes), (inst_seed, start)
+
+
+def test_two_opt_keeps_a_two_opt_optimal_tour():
+    inst = gen_random_instance(80, 21, 1000.0)
+    start = Tour(tuple(range(inst.dimension)))
+    optimal = two_opt(start, inst, PLAIN, max_passes=1000)
+    assert two_opt(optimal, inst, PLAIN, max_passes=1) == optimal
+    assert optimal != start
+    assert hybrid.two_opt(optimal, inst, PLAIN) == optimal
+
+
+def test_two_opt_reads_a_float32_matrix_in_float64():
+    # On the lattice, deltas summed in float32 round differently from the
+    # same float32 entries summed in float64, which changes the tours.
+    coords = np.array([(x, y) for x in range(6) for y in range(5)], dtype=float)
+    inst = Instance("grid", len(coords), "EUC_2D", coords)
+    D32 = distance_matrix(inst, PLAIN).astype(np.float32)
+    rng = np.random.default_rng(8)
+    differs = 0
+    for _ in range(10):
+        start = Tour(tuple(int(v) for v in rng.permutation(len(coords))))
+        expected = two_opt(start, inst, PLAIN, D=D32.astype(np.float64))
+        assert hybrid.two_opt(start, inst, PLAIN, D=D32) == expected
+        differs += two_opt(start, inst, PLAIN, D=D32) != expected
+    assert differs > 0
 
 
 def test_two_opt_on_grid_ties():

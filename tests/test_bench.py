@@ -340,9 +340,13 @@ def test_cli_bad_config_key_exits_2_before_writing(config, allowed, tmp_path, ca
     ("qaco-hybrid", {"qaco_params": {"n_ants": 0}}, "n_ants"),
     ("qaco-hybrid", {"hybrid": {"branching": 1}}, "branching"),
     ("aco", {"aco_params": {"q0": True}}, "q0"),
+    ("qaco-hybrid", {"hybrid": {"two_opt_max_passes": -1}}, "max_passes"),
+    ("qaco-hybrid", {"hybrid": {"polish_iterations": -3, "refinement": "aco-polish"}},
+     "iterations"),
 ], ids=["aco-iterations-str", "aco-alpha-str", "qaco-n-ants-float", "qaco-stall-window-str",
         "hybrid-two-opt-passes-str", "qaco-max-iter-0", "aco-iterations-0", "aco-n-ants-0",
-        "qaco-pool-capacity-0", "qaco-n-ants-0", "hybrid-branching-1", "aco-q0-bool"])
+        "qaco-pool-capacity-0", "qaco-n-ants-0", "hybrid-branching-1", "aco-q0-bool",
+        "hybrid-two-opt-passes-negative", "hybrid-polish-iterations-negative"])
 def test_cli_bad_config_value_exits_2_before_writing(solver, config, key, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))

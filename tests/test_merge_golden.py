@@ -4,7 +4,9 @@
 for a one-city cycle (and a swap of the arguments when only the second cycle
 has one city).  The merge under test must return the same merged cycle and
 the same added length, bit for bit, on disjoint cycle pairs of every size
-from 1 to 6 on each side, including (1, 1), (1, k) and (k, 1).
+from 1 to 6 on each side, including (1, 1), (1, k) and (k, 1), and on
+every merge a hybrid solve of 1000 random cities makes, where cycles grow
+to hundreds of cities.
 
 Distance matrices come from three sources:
 
@@ -19,7 +21,9 @@ import itertools
 import numpy as np
 import pytest
 
-from qacotsp.hybrid import _merge_two_cycles
+from qacotsp import hybrid
+from qacotsp.bench import resolve_instance
+from qacotsp.hybrid import HybridConfig, LeafSolver, Refinement, _merge_two_cycles, solve_hybrid
 from qacotsp.tsplib import (
     Instance,
     MetricMode,
@@ -113,3 +117,28 @@ def test_one_city_cycles_on_lattice_ties(a, b):
     merged, added = _merge_two_cycles(list(a), list(b), D)
     want, want_added = reference_merge(list(a), list(b), D)
     assert (merged, added.hex()) == (want, want_added.hex())
+
+
+@pytest.mark.parametrize("metric", [MetricMode.CANONICAL, MetricMode.PLAIN])
+def test_every_merge_of_a_1000_city_solve(metric, monkeypatch):
+    # The tree walk's own merges: ~190 stitches of up to four cycles, up to
+    # the root's, whose cycles hold several hundred cities each.
+    calls = []
+
+    def recording_merge(a, b, D):
+        inputs = (list(a), list(b))
+        merged, added = _merge_two_cycles(a, b, D)
+        calls.append((*inputs, merged, added))
+        return merged, added
+
+    monkeypatch.setattr(hybrid, "_merge_two_cycles", recording_merge)
+    inst = resolve_instance("random:1000:2024")
+    config = HybridConfig(leaf_solver=LeafSolver.BRUTE_FORCE, refinement=Refinement.NONE,
+                          metric=metric)
+    solve_hybrid(inst, config)
+    D = distance_matrix(inst, metric)
+    assert len(calls) == 351
+    assert max(min(len(a), len(b)) for a, b, _, _ in calls) > 200
+    for a, b, merged, added in calls:
+        want, want_added = reference_merge(a, b, D)
+        assert (merged, added.hex()) == (want, want_added.hex()), (len(a), len(b))
