@@ -135,10 +135,8 @@ def run_single(inst: Instance, solver: str, seed: int, noise: NoiseSpec,
                                           seed=seed, metric=metric)
         iterations = len(history)
     else:
-        leaf = LeafSolver.QACO if solver == "qaco-hybrid" else LeafSolver.CLASSICAL_ACO
-        config = HybridConfig(leaf_solver=leaf, qaco_params=qaco_params,
-                              aco_params=aco_params, noise=noise, metric=metric,
-                              seed=seed, **(hybrid_overrides or {}))
+        config = _hybrid_config(solver, qaco_params, aco_params, hybrid_overrides,
+                               noise=noise, metric=metric, seed=seed)
         tour, length, stats = solve_hybrid(inst, config)
         iterations = stats.leaf_iterations
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -160,17 +158,32 @@ def run_single(inst: Instance, solver: str, seed: int, noise: NoiseSpec,
     )
 
 
+def _hybrid_config(solver: str, qaco_params: QacoParams, aco_params: AcoParams,
+                  hybrid_overrides: dict, **cell) -> HybridConfig:
+    """The ``HybridConfig`` of a qaco-hybrid or clustered-aco cell.
+
+    ``cell`` sets the cell's ``noise``, ``metric`` and ``seed``.
+    ``HybridConfig`` refuses out-of-range values with a ``ValueError``.
+    """
+    leaf = LeafSolver.QACO if solver == "qaco-hybrid" else LeafSolver.CLASSICAL_ACO
+    return HybridConfig(leaf_solver=leaf, qaco_params=qaco_params, aco_params=aco_params,
+                        **cell, **(hybrid_overrides or {}))
+
+
 def run_cells(cells, metric: MetricMode, out_dir: str, qaco_params: QacoParams,
               aco_params: AcoParams, hybrid_overrides: dict) -> list:
     """Run ``(instance, solver, seed, noise)`` cells in order; append their records.
 
     The records go to ``results.csv`` and ``results.json`` in ``out_dir``.
     An empty cell list (an empty seed list, say) and an existing file that
-    cannot take the append are ``ConfigError`` before any cell runs, and
-    then neither file is touched.
+    cannot take the append are ``ConfigError``, and a hybrid setting out of
+    range for one of the cells' solvers is ``ValueError``.  Each is raised
+    before any cell runs, and then neither file is touched.
     """
     if not cells:
         raise ConfigError("no runs to do: the seed list is empty")
+    for solver in sorted({solver for _, solver, _, _ in cells} - {"aco"}):
+        _hybrid_config(solver, qaco_params, aco_params, hybrid_overrides)
     csv_path = os.path.join(out_dir, "results.csv")
     json_path = os.path.join(out_dir, "results.json")
     _existing_csv(csv_path)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .aco import AcoParams, aco_solve
 from .cluster import ClusterTree, build_cluster_tree, centroid_of
-from .qaco import QacoParams, qaco_solve
+from .qaco import MAX_CITIES, QacoParams, qaco_solve
 from .qsim import NO_NOISE, NoiseSpec
 from .tsplib import (
     Instance,
@@ -62,6 +62,15 @@ class HybridConfig:
     leaf_max: int = 4
     branching: int = 4
     kmeans_restarts: int = 10
+
+    def __post_init__(self):
+        for name, low in (("two_opt_max_passes", 0), ("polish_iterations", 0),
+                          ("leaf_max", 2), ("branching", 2), ("kmeans_restarts", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.leaf_solver is LeafSolver.QACO and self.leaf_max > MAX_CITIES:
+            raise ValueError(f"leaf_max must be <= {MAX_CITIES} with the QACO leaf solver, "
+                             f"got {self.leaf_max}")
 
 
 def _first_shortest(D: np.ndarray, orders):

@@ -18,7 +18,22 @@ lengths are computed once per solve.  The bitstring helpers
 (``encode_tour``, ``decode_bits``, ``hamming``, ``repair_infeasible``,
 ``maybe_mutate``, ``rotation_update``) convert at their boundary and call the
 same code.  ``SolutionPool`` entries keep bitstrings for every caller; the
-solver mirrors their int codes in a list it rebuilds when the pool changes.
+solver mirrors their int codes in a list and a set it rebuilds when the pool
+changes.
+
+One iteration of ``qaco_solve`` draws, with m = ``qsim.draws_per_qubit``
+(1 noiseless, 3 under noise):
+
+* per ant, one ``rng.random(2k * m)`` call for the measurement, then, if the
+  code is infeasible, the repair's ``rng.permutation(k)`` (iterations up to
+  ``RANDOM_FEASIBLE_WINDOW``, or while the pool is empty) or one
+  ``rng.random()`` (the Hamming rule);
+* once stalled, per ant, one ``rng.random(1 + m)`` call for the mutation
+  angle and the ancilla's measurement, then ``rng.integers(2k)`` only when
+  the ancilla reads 1.
+
+The rotation draws nothing.  The repair distribution of each measured code
+is kept until the pool changes.
 """
 
 from __future__ import annotations
@@ -32,11 +47,12 @@ import numpy as np
 
 from .qsim import (
     NO_NOISE,
+    THETA_MAX,
+    THETA_MIN,
     NoiseSpec,
-    clamp_angle,
+    code_from_draws,
+    draws_per_qubit,
     measurement_probabilities,
-    sample_ancilla,
-    sample_code,
 )
 from .tsplib import (
     Instance,
@@ -101,6 +117,9 @@ class QacoParams:
     def __post_init__(self):
         if min(self.n_ants, self.max_iter, self.pool_capacity) < 1:
             raise ValueError("n_ants, max_iter and pool_capacity must be >= 1")
+        for name in ("stall_window", "convergence_window"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -206,18 +225,23 @@ def _repair_cdf(distances) -> list:
 
 
 def _repair(code: int, pool_codes: list, iteration: int, k: int, rng: np.random.Generator,
-            cdfs: dict) -> int:
+            cdfs: dict, code_cdfs: dict) -> int:
     """Code of the feasible tour that replaces the infeasible measurement ``code``.
 
-    ``cdfs`` caches ``_repair_cdf`` by distance tuple; a solve sees few
+    ``code_cdfs`` caches the ``_repair_cdf`` of each measured code against
+    ``pool_codes``, so the caller clears it whenever ``pool_codes`` changes.
+    Behind it ``cdfs`` caches them by distance tuple; a solve sees few
     distinct tuples.  ``bisect_right`` is ``searchsorted(side="right")``.
     """
     if iteration <= RANDOM_FEASIBLE_WINDOW or not pool_codes:
         return _encode(rng.permutation(k).tolist())
-    d = tuple([(code ^ c).bit_count() for c in pool_codes])
-    cdf = cdfs.get(d)
+    cdf = code_cdfs.get(code)
     if cdf is None:
-        cdf = cdfs[d] = _repair_cdf(d)
+        d = tuple([(code ^ c).bit_count() for c in pool_codes])
+        cdf = cdfs.get(d)
+        if cdf is None:
+            cdf = cdfs[d] = _repair_cdf(d)
+        code_cdfs[code] = cdf
     pick = bisect_right(cdf, rng.random() * cdf[-1])
     return pool_codes[min(pick, len(pool_codes) - 1)]
 
@@ -238,12 +262,15 @@ def repair_infeasible(bits: str, pool: SolutionPool, iteration: int, k: int,
     if k > MAX_CITIES:
         raise TooManyCities(f"2-bit encoding holds at most {MAX_CITIES} cities")
     pool_codes = [int(e.bits, 2) for e in pool.entries]
-    code = _repair(int(bits, 2), pool_codes, iteration, k, rng, {})
+    code = _repair(int(bits, 2), pool_codes, iteration, k, rng, {}, {})
     return _decode_table(k)[code]
 
 
 def _rotate(thetas: list, x: int, b: int, worse: bool) -> list:
-    """``rotation_update`` on a list of angles, with x and b as int codes."""
+    """``rotation_update`` on a list of angles, with x and b as int codes.
+
+    The clamp is ``qsim.clamp_angle`` written out.
+    """
     table = ROTATION_TABLE
     new = []
     shift = len(thetas)
@@ -252,7 +279,8 @@ def _rotate(thetas: list, x: int, b: int, worse: bool) -> list:
         delta, starred = table[((x >> shift) & 1, (b >> shift) & 1, worse)]
         if starred and math.sin(theta) * math.cos(theta) < 0.0:
             delta = -delta
-        new.append(clamp_angle(theta + delta))
+        theta += delta
+        new.append(THETA_MAX if theta > THETA_MAX else THETA_MIN if theta < THETA_MIN else theta)
     return new
 
 
@@ -273,10 +301,19 @@ def rotation_update(reg: PheromoneRegister, x: str, b: str, fx: float,
     return PheromoneRegister(np.array(new, dtype=float))
 
 
-def _mutate(code: int, n_bits: int, noise: NoiseSpec, rng: np.random.Generator) -> int:
-    """The ancilla gate of ``maybe_mutate`` on an int code of ``n_bits`` bits."""
-    theta_m = rng.uniform(0.0, math.pi / 2.0)
-    if sample_ancilla(theta_m, noise, rng) == 1:
+def _mutate(code: int, n_bits: int, noise: NoiseSpec, rng: np.random.Generator,
+            n_draws: int) -> int:
+    """The ancilla gate of ``maybe_mutate`` on an int code of ``n_bits`` bits.
+
+    ``n_draws`` is ``1 + draws_per_qubit(noise)``.  One ``rng.random(n_draws)``
+    call draws the mutation angle and then the ancilla's ``sample_code``
+    arrays: numpy's ``uniform(0, pi/2)`` is ``0.0 + (pi/2) * random()``,
+    which equals ``(pi/2) * random()`` bit for bit.  Only when the ancilla
+    reads 1 does ``rng.integers(n_bits)`` pick the bit to flip.
+    """
+    draws = rng.random(n_draws).tolist()
+    theta_m = (math.pi / 2.0) * draws[0]
+    if code_from_draws(draws[1:], *measurement_probabilities([theta_m]), noise):
         code ^= 1 << (n_bits - 1 - int(rng.integers(n_bits)))
     return code
 
@@ -291,7 +328,8 @@ def maybe_mutate(bits: str, stagnant_iters: int, params: QacoParams,
     """
     if stagnant_iters < params.stall_window:
         return bits
-    return format(_mutate(int(bits, 2), len(bits), noise, rng), f"0{len(bits)}b")
+    code = _mutate(int(bits, 2), len(bits), noise, rng, 1 + draws_per_qubit(noise))
+    return format(code, f"0{len(bits)}b")
 
 
 def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
@@ -329,7 +367,11 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
     thetas = PheromoneRegister.uniform(k).thetas.tolist()
     pool = SolutionPool(params.pool_capacity)
     pool_codes = []  # int codes of the pool entries, in pool order
-    cdfs = {}
+    pool_set = set()
+    cdfs, code_cdfs = {}, {}
+    random = rng.random
+    m = draws_per_qubit(noise)
+    sample_draws, gate_draws = n_bits * m, 1 + m
     best_code = None
     best_len = math.inf
     stagnant = 0
@@ -344,13 +386,16 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
         iter_len, iter_idx = math.inf, 0
         codes = []
         for ant in range(params.n_ants):
-            code = sample_code(p1, q1, noise, rng)
+            code = code_from_draws(random(sample_draws).tolist(), p1, q1, noise)
             if tours[code] is None:
-                code = _repair(code, pool_codes, it, k, rng, cdfs)
+                code = _repair(code, pool_codes, it, k, rng, cdfs, code_cdfs)
                 repairs += 1
             length = lengths[code]
-            if pool.add(tours[code], bitstrings[code], length):
+            # A code already pooled is refused by pool.add.
+            if code not in pool_set and pool.add(tours[code], bitstrings[code], length):
                 pool_codes = [int(e.bits, 2) for e in pool.entries]
+                pool_set = set(pool_codes)
+                code_cdfs.clear()
             codes.append(code)
             if length < iter_len:
                 iter_len, iter_idx = length, ant
@@ -363,7 +408,7 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
 
         if stagnant >= params.stall_window:
             for ant in range(params.n_ants):
-                mutated = _mutate(codes[ant], n_bits, noise, rng)
+                mutated = _mutate(codes[ant], n_bits, noise, rng, gate_draws)
                 if mutated != codes[ant]:
                     mutations += 1
                     codes[ant] = mutated

@@ -172,6 +172,35 @@ def measurement_probabilities(thetas):
     return p1, q1
 
 
+def draws_per_qubit(noise: NoiseSpec) -> int:
+    """Uniform draws one noisy measurement takes per qubit: 3 with noise, else 1."""
+    return 3 if noise.enabled else 1
+
+
+def code_from_draws(draws, p1, q1, noise: NoiseSpec) -> int:
+    """The int code that ``sample_code`` measures from the list ``draws``.
+
+    ``draws`` holds ``n * draws_per_qubit(noise)`` uniforms in ``sample_code``'s
+    draw order (later items are ignored).  The noise rules live here and only
+    here.
+    """
+    probs = p1
+    if noise.rate > 0.0:
+        n = len(p1)
+        rate = noise.rate
+        if noise.kind is NoiseKind.BIT_FLIP:
+            probs = [q if (g < rate) != (m < rate) else p
+                     for p, q, g, m in zip(p1, q1, draws, draws[n:])]
+            draws = draws[2 * n:]
+        elif noise.kind is NoiseKind.THERMAL_RELAXATION:
+            probs = [0.0 if r < rate else p for p, r in zip(p1, draws)]
+            draws = draws[2 * n:]  # skips the dephasing draws
+    code = 0
+    for r, p in zip(draws, probs):
+        code += code + (r < p)  # (code << 1) | bit
+    return code
+
+
 def sample_code(p1, q1, noise: NoiseSpec, rng: np.random.Generator) -> int:
     """One noisy measurement of a product register, as an int code.
 
@@ -181,27 +210,16 @@ def sample_code(p1, q1, noise: NoiseSpec, rng: np.random.Generator) -> int:
 
     Draw order (fixed for reproducibility): the after-gate noise array, then
     the pre-measurement flip array (bit flip) or the dephasing array
-    (thermal), then the measurement array, each ``rng.random(n)`` indexed by
-    qubit.  Two bit flips cancel; a thermal reset leaves |0>, which reads 0;
-    dephasing flips the sign of the |1> amplitude and so never changes the
-    outcome, but its array is still drawn.
+    (thermal), then the measurement array, each indexed by qubit.  The
+    arrays are the consecutive slices of one ``rng.random(n * m)`` call, with
+    m = ``draws_per_qubit(noise)``; numpy's doubles come one per generator
+    step, so that call draws what m ``rng.random(n)`` calls would.  Two bit
+    flips cancel; a thermal reset leaves |0>, which reads 0; dephasing flips
+    the sign of the |1> amplitude and so never changes the outcome, but its
+    array is still drawn.
     """
-    n = len(p1)
-    probs = p1
-    if noise.kind is NoiseKind.BIT_FLIP and noise.rate > 0.0:
-        rate = noise.rate
-        gate, meas = rng.random(n).tolist(), rng.random(n).tolist()
-        probs = [q if (g < rate) != (m < rate) else p
-                 for p, q, g, m in zip(p1, q1, gate, meas)]
-    elif noise.kind is NoiseKind.THERMAL_RELAXATION and noise.rate > 0.0:
-        rate = noise.rate
-        reset = rng.random(n).tolist()
-        rng.random(n)  # dephasing
-        probs = [0.0 if r < rate else p for p, r in zip(p1, reset)]
-    code = 0
-    for r, p in zip(rng.random(n).tolist(), probs):
-        code = (code << 1) | (r < p)
-    return code
+    draws = rng.random(len(p1) * draws_per_qubit(noise)).tolist()
+    return code_from_draws(draws, p1, q1, noise)
 
 
 def noisy_sample(thetas, noise: NoiseSpec, rng: np.random.Generator) -> str:

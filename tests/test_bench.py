@@ -357,6 +357,50 @@ def test_cli_bad_config_value_exits_2_before_writing(solver, config, key, tmp_pa
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, key", [
+    (["solve"], {"hybrid": {"two_opt_max_passes": -1}}, "two_opt_max_passes"),
+    (["solve"], {"hybrid": {"polish_iterations": -1, "refinement": "aco-polish"}},
+     "polish_iterations"),
+    (["solve"], {"hybrid": {"leaf_max": 5}}, "leaf_max"),
+    (["compare"], {"hybrid": {"leaf_max": 5}}, "leaf_max"),
+    (["noise-sweep", "--noise", "bitflip"], {"hybrid": {"leaf_max": 5}}, "leaf_max"),
+    (["solve"], {"hybrid": {"leaf_max": 1}}, "leaf_max"),
+    (["solve", "--solver", "clustered-aco"], {"hybrid": {"leaf_max": 1}}, "leaf_max"),
+    (["solve"], {"hybrid": {"branching": 1}}, "branching"),
+    (["solve"], {"hybrid": {"kmeans_restarts": 0}}, "kmeans_restarts"),
+    (["solve"], {"qaco_params": {"stall_window": -1}}, "stall_window"),
+    (["solve"], {"qaco_params": {"convergence_window": -1}}, "convergence_window"),
+], ids=["two-opt-passes-negative", "polish-iterations-negative", "leaf-max-5-solve",
+        "leaf-max-5-compare", "leaf-max-5-noise-sweep", "leaf-max-1",
+        "leaf-max-1-clustered-aco", "branching-1", "kmeans-restarts-0",
+        "stall-window-negative", "convergence-window-negative"])
+def test_cli_bad_range_exits_2_before_any_solve(command, config, key, tmp_path, capsys,
+                                                monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(bench, "solve_hybrid", no_solve)
+    monkeypatch.setattr(bench, "aco_solve", no_solve)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "runs"
+    where = "--datasets" if command[0] == "compare" else "--instance"
+    assert cli.main(command + [where, "random:12:5:100", "--seeds", "0", "--out", str(out),
+                               "--config", str(path)]) == 2
+    assert not out.exists()
+    assert key in capsys.readouterr().err
+
+
+def test_hybrid_leaf_max_above_four_needs_a_classical_leaf_solver(tmp_path):
+    out = tmp_path / "runs"
+    config = tmp_path / "leaf5.json"
+    config.write_text(json.dumps({"aco_params": {"iterations": 5},
+                                  "hybrid": {"leaf_max": 5, "refinement": "none"}}))
+    assert cli.main(["solve", "--instance", "random:12:5:100", "--solver", "clustered-aco",
+                     "--seeds", "0", "--out", str(out), "--config", str(config)]) == 0
+    assert len((out / "results.csv").read_text().splitlines()) == 2
+
+
 def test_cli_aco_polish_with_zero_iterations_keeps_the_stitched_tour(tmp_path):
     out = tmp_path / "runs"
     config = tmp_path / "polish.json"

@@ -303,3 +303,13 @@ def test_solve_hybrid_raises_when_refinement_lengthens(monkeypatch):
     monkeypatch.setattr(hybrid, "two_opt", lambda tour, *args, **kwargs: Tour(worst))
     with pytest.raises(InvariantError):
         solve_hybrid(inst, HybridConfig(refinement=Refinement.TWO_OPT, **base))
+
+
+def test_config_limits_leaf_size_only_for_the_qaco_leaf_solver():
+    with pytest.raises(ValueError, match="leaf_max"):
+        HybridConfig(leaf_max=5)
+    for leaf in (LeafSolver.CLASSICAL_ACO, LeafSolver.BRUTE_FORCE):
+        assert HybridConfig(leaf_solver=leaf, leaf_max=5).leaf_max == 5
+    config = HybridConfig(leaf_max=2, two_opt_max_passes=0, polish_iterations=0,
+                          branching=2, kmeans_restarts=1)
+    assert (config.leaf_max, config.kmeans_restarts) == (2, 1)

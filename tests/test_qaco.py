@@ -340,3 +340,10 @@ def test_qaco_biased_register_recovers_encoded_tour():
     shots = 2000
     hits = sum(noisy_sample(thetas, NO_NOISE, rng) == bits for _ in range(shots))
     assert hits / shots >= 0.9
+
+
+@pytest.mark.parametrize("field", ["stall_window", "convergence_window"])
+def test_params_refuse_negative_windows(field):
+    with pytest.raises(ValueError, match=field):
+        QacoParams(**{field: -1})
+    assert getattr(QacoParams(**{field: 0}), field) == 0

@@ -386,3 +386,59 @@ def test_property_integer_core_equals_reference(inst_seed, solver_seed, kind, ra
     inst = gen_random_instance(4, inst_seed, 1000.0)
     assert_same_solves([(inst, range(4),
                          dict(noise=NoiseSpec(kind, rate), seed=solver_seed, metric=PLAIN))])
+
+
+# ---------------------------------------------------------------------------
+# edge cases of the iteration: cache resets, a gate on every iteration,
+# saturated noise and tied cycle lengths
+
+EDGE_NOISES = [NO_NOISE, NOISES[1], NOISES[3]]
+
+
+def test_pool_of_one():
+    # Every accepted tour replaces the only pool entry.
+    params = QacoParams(pool_capacity=1)
+    assert_same_solves(
+        (gen_random_instance(4, 9000 + i, 1000.0), range(4),
+         dict(params=params, noise=EDGE_NOISES[i % 3], seed=i, metric=PLAIN))
+        for i in range(15))
+
+
+def test_stall_window_of_one():
+    # The mutation gate runs on every iteration that does not improve.
+    params = QacoParams(stall_window=1)
+    assert_same_solves(
+        (gen_random_instance(4, 9100 + i, 1000.0), range(4),
+         dict(params=params, noise=EDGE_NOISES[i % 3], seed=i, metric=PLAIN))
+        for i in range(15))
+
+
+def test_pool_of_one_and_stall_window_of_one():
+    params = QacoParams(stall_window=1, pool_capacity=1)
+    assert_same_solves(
+        (gen_random_instance(k, 9200 + i, 1000.0), range(k),
+         dict(params=params, noise=EDGE_NOISES[i % 3], seed=i, metric=PLAIN))
+        for i in range(12) for k in (3, 4))
+
+
+@pytest.mark.parametrize("kind", [NoiseKind.BIT_FLIP, NoiseKind.THERMAL_RELAXATION],
+                         ids=lambda kind: kind.value)
+def test_noise_rate_one(kind):
+    # Thermal noise at rate 1 resets every qubit, so every sample is repaired.
+    noise = NoiseSpec(kind, 1.0)
+    assert_same_solves(
+        (gen_random_instance(k, 9300 + i, 1000.0), range(k),
+         dict(noise=noise, seed=i, metric=PLAIN))
+        for i in range(8) for k in (3, 4))
+
+
+@pytest.mark.parametrize("coords", [
+    [(0.0, 0.0), (0.0, 0.0), (3.0, 4.0), (3.0, 4.0)],
+    [(1.0, 1.0)] * 4,
+    [(0.0, 0.0), (0.0, 10.0), (10.0, 10.0), (10.0, 0.0)],
+], ids=["two-pairs", "one-point", "square"])
+def test_tied_cycle_lengths(coords):
+    inst = Instance("ties", 4, "EUC_2D", np.array(coords))
+    assert_same_solves(
+        (inst, range(4), dict(noise=EDGE_NOISES[seed % 3], seed=seed, metric=PLAIN))
+        for seed in range(9))

@@ -14,10 +14,14 @@ from qacotsp.qsim import (
     apply_ry,
     apply_x,
     clamp_angle,
+    code_from_draws,
+    draws_per_qubit,
     measure_all,
+    measurement_probabilities,
     noisy_sample,
     ry_product_state,
     sample_ancilla,
+    sample_code,
     zero_state,
 )
 
@@ -293,3 +297,43 @@ def test_statevector_cap():
         zero_state(21)
     with pytest.raises(ValueError):
         StateVector(1, np.array([1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# numpy draw identities the QACO kernel relies on: each lets it draw the same
+# numbers in fewer generator calls
+
+
+def test_uniform_angle_is_scaled_random():
+    for seed in range(200):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            assert a.uniform(0.0, math.pi / 2.0) == (math.pi / 2.0) * b.random()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_consecutive_random_arrays_are_one_call(n):
+    for seed in range(50):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        parts = [a.random(n).tolist() for _ in range(3)]
+        assert sum(parts, []) == b.random(3 * n).tolist()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("kind", [NoiseKind.NONE, NoiseKind.BIT_FLIP,
+                                  NoiseKind.THERMAL_RELAXATION], ids=lambda k: k.value)
+@pytest.mark.parametrize("rate", [0.0, 0.1, 1.0])
+def test_sample_code_is_code_from_one_draw(n, kind, rate):
+    noise = NoiseSpec(kind, rate)
+    m = draws_per_qubit(noise)
+    assert m == (3 if noise.enabled else 1)
+    thetas = np.random.default_rng(n).uniform(0.0, math.pi, size=(40, n)).tolist()
+    for seed in range(5):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for row in thetas:
+            p1, q1 = measurement_probabilities(row)
+            expected = code_from_draws(b.random(n * m).tolist(), p1, q1, noise)
+            assert sample_code(p1, q1, noise, a) == expected
+        assert a.bit_generator.state == b.bit_generator.state
