@@ -13,7 +13,7 @@ from qacotsp.circuit_error import (
 )
 
 for k in (4, 10):
-    layers = qaco_circuit_layers(k, include_ancilla=True)
+    layers = qaco_circuit_layers(k)
     report = estimate_circuit_error(layers)
     qubits = 2 * k + 1
     print(f"{k:2d}-city register ({qubits} qubits): "

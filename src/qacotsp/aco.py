@@ -129,16 +129,6 @@ def next_node(r: int, allowed, tau: np.ndarray, eta: np.ndarray, params: AcoPara
     return int(allowed[_step(weights, everyone, allowed.size, params.q0, rng)])
 
 
-def selection_probabilities(r: int, allowed, tau, eta, params: AcoParams) -> np.ndarray:
-    """Normalized exploration-branch probabilities (sums to 1)."""
-    allowed = np.sort(np.asarray(list(allowed), dtype=int))
-    weights = _weights(tau[r, allowed], eta[r, allowed] ** params.beta, params.alpha)
-    total = weights.sum()
-    if total <= 0.0:
-        return np.full(allowed.size, 1.0 / allowed.size)
-    return weights / total
-
-
 def _construct(W: np.ndarray, q0: float, rng) -> Tour:
     """One ant's walk over the weight matrix ``W``."""
     k = W.shape[0]
@@ -153,13 +143,6 @@ def _construct(W: np.ndarray, q0: float, rng) -> Tour:
         current = _step(masked[current], avail, left, q0, rng)
         order.append(current)
     return Tour(tuple(order))
-
-
-def construct_tour(inst: Instance, indices, tau: np.ndarray, params: AcoParams,
-                   rng: np.random.Generator, metric: MetricMode = MetricMode.CANONICAL) -> Tour:
-    """One ant's tour over the given cities, in local 0..k-1 positions."""
-    eta = heuristic_matrix(distance_matrix(inst, metric, indices))
-    return _construct(_weights(tau, eta ** params.beta, params.alpha), params.q0, rng)
 
 
 def update_pheromone(tau: np.ndarray, best: Tour, length: float, params: AcoParams) -> np.ndarray:

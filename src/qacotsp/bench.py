@@ -253,27 +253,6 @@ def write_records_json(records, path) -> None:
     _write_atomic(path, json.dumps(existing, indent=1) + "\n")
 
 
-def load_records_csv(path) -> list:
-    """Read back an emitted CSV as RunRecords (tours live in the JSON only)."""
-    records = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected results header: {header!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            ds, solver, seed, kind, rate, length, iters, wall = line.split(",")
-            records.append(RunRecord(ds, solver, int(seed), kind, float(rate),
-                                     float(length), int(iters), float(wall), ()))
-    return records
-
-
-def records_to_csv_text(records) -> str:
-    return CSV_HEADER + "\n" + "".join(rec.csv_row() + "\n" for rec in records)
-
-
 def median(values) -> float:
     return float(np.median(np.asarray(list(values), dtype=float)))
 
@@ -304,7 +283,7 @@ def cmd_compare(dataset_specs, seeds, metric: MetricMode, out_dir: str,
     """
     optima = {} if optima is None else optima
     if not isinstance(optima, dict) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in optima.values()):
+            _is_json(v, (int, float)) for v in optima.values()):
         raise ConfigError(f"optima must be a JSON object of numbers, got {optima!r}")
     instances = [resolve_instance(spec) for spec in dataset_specs]
     names = [inst.name for inst in instances]
@@ -340,13 +319,6 @@ def cmd_compare(dataset_specs, seeds, metric: MetricMode, out_dir: str,
     return rows
 
 
-def sweep_deviation(level_medians: dict, baseline: float) -> float:
-    """Max relative deviation (%) of any noisy median from the noiseless one."""
-    return max(
-        abs(m - baseline) / baseline * 100.0 for m in level_medians.values()
-    )
-
-
 def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMode,
                     out_dir: str, levels=DEFAULT_NOISE_LEVELS,
                     qaco_params=QacoParams(), aco_params=AcoParams(),
@@ -374,7 +346,8 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
             r.length for r in records
             if r.noise_kind != "none" and abs(r.noise_rate - lvl) < 1e-15
         )
-    deviation = sweep_deviation(level_medians, baseline)
+    dev_curve = [abs(level_medians[lvl] - baseline) / baseline * 100.0 for lvl in levels]
+    deviation = max(dev_curve)
 
     header = "dataset,noise_kind,ideal," + ",".join(
         f"{lvl * 100:g}%" for lvl in levels
@@ -389,7 +362,6 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
 
     os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
     svg_path = os.path.join(out_dir, "plots", f"deviation_{inst.name}_{noise_kind}.svg")
-    dev_curve = [abs(level_medians[lvl] - baseline) / baseline * 100.0 for lvl in levels]
     write_svg_plot(svg_path, [lvl * 100 for lvl in levels], inst.name, dev_curve,
                    title=f"{noise_kind} deviation vs noise level",
                    xlabel="noise level (%)", ylabel="deviation (%)")
@@ -397,7 +369,7 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
 
 
 ERROR_PRESETS = {
-    "heron-4city": dict(k_cities=4, include_ancilla=True),
+    "heron-4city": dict(k_cities=4),
 }
 
 
@@ -412,11 +384,7 @@ def cmd_estimate_error(layers_file: str = None, preset: str = None,
         layers = qaco_circuit_layers(**ERROR_PRESETS[preset])
     else:
         with open(layers_file, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("layers file must hold a non-empty list of layers")
-        layers = [layer([(g[0], g[1], g[2]) for g in entry["gates"]],
-                        m=entry.get("m")) for entry in raw]
+            layers = _parse_layers(json.load(f))
     report = estimate_circuit_error(layers)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -425,6 +393,39 @@ def cmd_estimate_error(layers_file: str = None, preset: str = None,
                                   "layer_averages": list(report.layer_averages)}, indent=1)
                       + "\n")
     return report
+
+
+def _parse_layers(raw) -> list:
+    """The layers of an ``estimate-error --layers`` file, from its parsed JSON.
+
+    The file holds a non-empty list of objects ``{"gates": [[name, count,
+    rate], ...], "m": m}`` with ``m`` optional.  Counts and ``m`` must be
+    ints and rates numbers, neither a bool (JSON ``true`` would pass as 1);
+    anything else is ``ConfigError``.  Ranges are ``estimate_circuit_error``'s.
+    """
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError("layers file must hold a non-empty list of layers")
+    layers = []
+    for j, entry in enumerate(raw, start=1):
+        what = f"layer {j}"
+        gates = check_keys(entry, ("gates", "m"), what).get("gates")
+        if not isinstance(gates, list) or not gates:
+            raise ConfigError(f"{what} needs a non-empty 'gates' list, got {gates!r}")
+        for gate in gates:
+            if not (isinstance(gate, list) and len(gate) == 3
+                    and _is_json(gate[1], int) and _is_json(gate[2], (int, float))):
+                raise ConfigError(f"{what}: each gate must be [name, int count, number rate], "
+                                  f"got {gate!r}")
+        m = entry.get("m")
+        if m is not None and not _is_json(m, int):
+            raise ConfigError(f"{what} key 'm' must be an int, got {m!r}")
+        layers.append(layer(gates, m=m))
+    return layers
+
+
+def _is_json(value, kinds) -> bool:
+    """Whether a parsed JSON value is one of ``kinds``, a bool counting as none."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def write_svg_plot(path, xs, label: str, ys, title="", xlabel="", ylabel="") -> None:
@@ -511,8 +512,7 @@ def check_fields(block, defaults, allowed, what: str) -> dict:
     """
     for key, value in check_keys(block, allowed, what).items():
         kind = type(getattr(defaults, key))
-        if kind in (int, float) and (isinstance(value, bool)
-                                     or not isinstance(value, (int, kind))):
+        if kind in (int, float) and not _is_json(value, (int, kind)):
             expected = "an int" if kind is int else "a number"
             raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
     return block

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 # Published median error rates for a recent superconducting processor,
 # shipped as a convenience preset (inputs, not verified results): single-qubit
-# gates about 0.03%, two-qubit gates about 0.32%.
+# gates about 0.03%.
 SINGLE_QUBIT_RATE = 0.0003
-TWO_QUBIT_RATE = 0.0032
 DEFAULT_MEASUREMENT_RATE = 0.0003
 
 
@@ -87,17 +86,17 @@ def estimate_circuit_error(layers) -> CircuitErrorReport:
                               depth=len(layers))
 
 
-def qaco_circuit_layers(k_cities: int, include_ancilla: bool = True) -> list:
+def qaco_circuit_layers(k_cities: int) -> list:
     """Layer structure of the path-search circuit for a k-city register.
 
-    One layer of Ry gates (2 per city, plus the optional ancilla), then one
-    measurement layer over the same qubits.  k = 4 with the ancilla gives the
-    9-gate preparation layer of the reference 9-qubit layout; k = 10 scales
-    to 21 gates.
+    One layer of Ry gates (2 per city, plus the mutation ancilla), then one
+    measurement layer over the same qubits.  k = 4 gives the 9-gate
+    preparation layer of the reference 9-qubit layout; k = 10 scales to 21
+    gates.
     """
     if not 2 <= k_cities <= 10:
         raise ValueError("k_cities must be in 2..10")
-    n_qubits = 2 * k_cities + (1 if include_ancilla else 0)
+    n_qubits = 2 * k_cities + 1
     return [
         layer([("ry", n_qubits, SINGLE_QUBIT_RATE)]),
         layer([("measure", n_qubits, DEFAULT_MEASUREMENT_RATE)]),

@@ -277,11 +277,11 @@ def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
         polish_params = dataclasses.replace(
             config.aco_params, iterations=config.polish_iterations
         )
-        polished, polished_len, _ = aco_solve(
+        # The stitched tour seeds the incumbent, which only a shorter tour replaces.
+        refined, _, _ = aco_solve(
             inst, range(inst.dimension), polish_params, seed=config.seed,
             metric=config.metric, initial_tour=stitched, D=D,
         )
-        refined = polished if polished_len <= stats.stitched_length else stitched
     else:
         refined = stitched
 

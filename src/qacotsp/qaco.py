@@ -17,9 +17,10 @@ to None when the code repeats a city or names one >= k, and the k! cycle
 lengths are computed once per solve.  The bitstring helpers
 (``encode_tour``, ``decode_bits``, ``hamming``, ``repair_infeasible``,
 ``maybe_mutate``, ``rotation_update``) convert at their boundary and call the
-same code.  ``SolutionPool`` entries keep bitstrings for every caller; the
-solver mirrors their int codes in a list and a set it rebuilds when the pool
-changes.
+same code; ``rotation_update`` takes and returns the angles as a float
+array, which the solver keeps as a list.  ``SolutionPool`` entries keep
+bitstrings for every caller; the solver mirrors their int codes in a list
+and a set it rebuilds when the pool changes.
 
 One iteration of ``qaco_solve`` draws, with m = ``qsim.draws_per_qubit``
 (1 noiseless, 3 under noise):
@@ -120,17 +121,6 @@ class QacoParams:
         for name in ("stall_window", "convergence_window"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-
-@dataclass
-class PheromoneRegister:
-    """Rotation angles, one per qubit (2 per tour position), clamp-bounded."""
-
-    thetas: np.ndarray
-
-    @classmethod
-    def uniform(cls, k_cities: int) -> "PheromoneRegister":
-        return cls(np.full(2 * k_cities, math.pi / 2.0))
 
 
 @dataclass
@@ -267,10 +257,7 @@ def repair_infeasible(bits: str, pool: SolutionPool, iteration: int, k: int,
 
 
 def _rotate(thetas: list, x: int, b: int, worse: bool) -> list:
-    """``rotation_update`` on a list of angles, with x and b as int codes.
-
-    The clamp is ``qsim.clamp_angle`` written out.
-    """
+    """``rotation_update`` on a list of angles, with x and b as int codes."""
     table = ROTATION_TABLE
     new = []
     shift = len(thetas)
@@ -284,21 +271,20 @@ def _rotate(thetas: list, x: int, b: int, worse: bool) -> list:
     return new
 
 
-def rotation_update(reg: PheromoneRegister, x: str, b: str, fx: float,
-                    fb: float) -> PheromoneRegister:
-    """One lookup-table sweep of the register angles.
+def rotation_update(thetas: np.ndarray, x: str, b: str, fx: float, fb: float) -> np.ndarray:
+    """One lookup-table sweep of the register angles, one per qubit.
 
     ``x`` is the iteration-best bitstring, ``b`` the global-best one; the
     table row is selected by the two bits and by whether the iteration best
     is worse (fx > fb).  Starred rows flip the step's sign when
     sin(theta_i) * cos(theta_i) < 0 so the rotation keeps pointing back
-    toward the balanced angle region.  Results are clamped to the sampling
-    bounds.
+    toward the balanced angle region.  Results are clamped to
+    [``qsim.THETA_MIN``, ``qsim.THETA_MAX``].
     """
-    if len(x) != len(reg.thetas) or len(b) != len(reg.thetas):
+    thetas = np.asarray(thetas, dtype=float)
+    if len(x) != len(thetas) or len(b) != len(thetas):
         raise LengthMismatch("bitstring length must equal register size")
-    new = _rotate(reg.thetas.tolist(), int(x, 2), int(b, 2), bool(fx > fb))
-    return PheromoneRegister(np.array(new, dtype=float))
+    return np.array(_rotate(thetas.tolist(), int(x, 2), int(b, 2), bool(fx > fb)))
 
 
 def _mutate(code: int, n_bits: int, noise: NoiseSpec, rng: np.random.Generator,
@@ -306,8 +292,8 @@ def _mutate(code: int, n_bits: int, noise: NoiseSpec, rng: np.random.Generator,
     """The ancilla gate of ``maybe_mutate`` on an int code of ``n_bits`` bits.
 
     ``n_draws`` is ``1 + draws_per_qubit(noise)``.  One ``rng.random(n_draws)``
-    call draws the mutation angle and then the ancilla's ``sample_code``
-    arrays: numpy's ``uniform(0, pi/2)`` is ``0.0 + (pi/2) * random()``,
+    call draws the mutation angle and then the ancilla's ``code_from_draws``
+    draws: numpy's ``uniform(0, pi/2)`` is ``0.0 + (pi/2) * random()``,
     which equals ``(pi/2) * random()`` bit for bit.  Only when the ancilla
     reads 1 does ``rng.integers(n_bits)`` pick the bit to flip.
     """
@@ -364,7 +350,7 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
     tours = _decode_table(k)
     lengths = [None if t is None else cycle_length(D, t.order) for t in tours]
     bitstrings = [None if t is None else format(c, f"0{n_bits}b") for c, t in enumerate(tours)]
-    thetas = PheromoneRegister.uniform(k).thetas.tolist()
+    thetas = [math.pi / 2.0] * n_bits
     pool = SolutionPool(params.pool_capacity)
     pool_codes = []  # int codes of the pool entries, in pool order
     pool_set = set()

@@ -65,11 +65,6 @@ class NoiseSpec:
 NO_NOISE = NoiseSpec()
 
 
-def clamp_angle(theta: float) -> float:
-    """Clamp a pheromone angle into [THETA_MIN, THETA_MAX]."""
-    return min(THETA_MAX, max(THETA_MIN, theta))
-
-
 @dataclass(eq=False)
 class StateVector:
     """Pure state of up to MAX_QUBITS qubits as a dense amplitude array."""
@@ -178,11 +173,22 @@ def draws_per_qubit(noise: NoiseSpec) -> int:
 
 
 def code_from_draws(draws, p1, q1, noise: NoiseSpec) -> int:
-    """The int code that ``sample_code`` measures from the list ``draws``.
+    """One noisy measurement of a product register, as an int code.
 
-    ``draws`` holds ``n * draws_per_qubit(noise)`` uniforms in ``sample_code``'s
-    draw order (later items are ignored).  The noise rules live here and only
-    here.
+    ``p1``/``q1`` come from ``measurement_probabilities``.  Bit ``n-1-i`` of
+    the code is qubit ``i`` (qubit 0 is the most significant bit), so
+    ``format(code, f"0{n}b")`` is the bitstring of ``noisy_sample``.  The
+    noise rules live here and only here.
+
+    ``draws`` holds ``n * m`` uniforms, m = ``draws_per_qubit(noise)``
+    (later items are ignored), in a fixed draw order: the after-gate noise
+    array, then the pre-measurement flip array (bit flip) or the dephasing
+    array (thermal), then the measurement array, each indexed by qubit.
+    Callers take them from one ``rng.random(n * m)`` call; numpy's doubles
+    come one per generator step, so that call draws what m ``rng.random(n)``
+    calls would.  Two bit flips cancel; a thermal reset leaves |0>, which
+    reads 0; dephasing flips the sign of the |1> amplitude and so never
+    changes the outcome, but its array is still drawn.
     """
     probs = p1
     if noise.rate > 0.0:
@@ -201,27 +207,6 @@ def code_from_draws(draws, p1, q1, noise: NoiseSpec) -> int:
     return code
 
 
-def sample_code(p1, q1, noise: NoiseSpec, rng: np.random.Generator) -> int:
-    """One noisy measurement of a product register, as an int code.
-
-    ``p1``/``q1`` come from ``measurement_probabilities``.  Bit ``n-1-i`` of
-    the code is qubit ``i`` (qubit 0 is the most significant bit), so
-    ``format(code, f"0{n}b")`` is the bitstring of ``noisy_sample``.
-
-    Draw order (fixed for reproducibility): the after-gate noise array, then
-    the pre-measurement flip array (bit flip) or the dephasing array
-    (thermal), then the measurement array, each indexed by qubit.  The
-    arrays are the consecutive slices of one ``rng.random(n * m)`` call, with
-    m = ``draws_per_qubit(noise)``; numpy's doubles come one per generator
-    step, so that call draws what m ``rng.random(n)`` calls would.  Two bit
-    flips cancel; a thermal reset leaves |0>, which reads 0; dephasing flips
-    the sign of the |1> amplitude and so never changes the outcome, but its
-    array is still drawn.
-    """
-    draws = rng.random(len(p1) * draws_per_qubit(noise)).tolist()
-    return code_from_draws(draws, p1, q1, noise)
-
-
 def noisy_sample(thetas, noise: NoiseSpec, rng: np.random.Generator) -> str:
     """One measurement of the path register prepared as a product of Ry gates.
 
@@ -229,13 +214,14 @@ def noisy_sample(thetas, noise: NoiseSpec, rng: np.random.Generator) -> str:
     listed in the module docstring.  The register is a product state with
     strictly per-qubit noise events, so each qubit is simulated as its own
     2-amplitude vector; the sampled distribution is identical to evolving the
-    full 2^n statevector trajectory.  The draw order is ``sample_code``'s.
+    full 2^n statevector trajectory.  ``code_from_draws`` gives the draw order.
     """
     thetas = np.asarray(thetas, dtype=float)
     if not np.all(np.isfinite(thetas)):
         raise AngleOutOfRange("angles must be finite")
     n = len(thetas)
-    code = sample_code(*measurement_probabilities(thetas.tolist()), noise, rng)
+    draws = rng.random(n * draws_per_qubit(noise)).tolist()
+    code = code_from_draws(draws, *measurement_probabilities(thetas.tolist()), noise)
     return format(code, f"0{n}b") if n else ""
 
 
@@ -247,4 +233,4 @@ def sample_ancilla(theta: float, noise: NoiseSpec, rng: np.random.Generator) -> 
     """
     if not (0.0 <= theta <= math.pi / 2.0 + 1e-12):
         raise AngleOutOfRange(f"ancilla angle must be in [0, pi/2], got {theta}")
-    return sample_code(*measurement_probabilities([theta]), noise, rng)
+    return int(noisy_sample([theta], noise, rng))

@@ -7,20 +7,33 @@ import pytest
 from qacotsp.aco import (
     AcoParams,
     EmptyAllowedSet,
+    _construct,
+    _weights,
     aco_solve,
-    construct_tour,
     heuristic_matrix,
     init_pheromone,
     next_node,
-    selection_probabilities,
     update_pheromone,
 )
-from qacotsp.tsplib import Instance, MetricMode, Tour, gen_random_instance, validate_tour
+from qacotsp.tsplib import (
+    Instance,
+    MetricMode,
+    Tour,
+    distance_matrix,
+    gen_random_instance,
+    validate_tour,
+)
 
 
 def square_instance():
     return Instance("square", 4, "EUC_2D",
                     np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]))
+
+
+def construct(inst, indices, tau, params, rng):
+    """One ant's tour as ``aco_solve`` builds it, in local 0..k-1 positions."""
+    eta = heuristic_matrix(distance_matrix(inst, MetricMode.CANONICAL, indices))
+    return _construct(_weights(tau, eta ** params.beta, params.alpha), params.q0, rng)
 
 
 def brute_force_cycle(coords):
@@ -66,34 +79,16 @@ def test_exploration_probabilities_three_to_one():
     tau = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     eta = np.ones((3, 3))
     params = AcoParams(alpha=1.0, beta=0.0, q0=0.0)
-    probs = selection_probabilities(0, [1, 2], tau, eta, params)
-    assert probs.tolist() == pytest.approx([0.75, 0.25])
-    assert abs(probs.sum() - 1.0) <= 1e-12
-
     rng = np.random.default_rng(2)
     shots = 20_000
     hits = sum(next_node(0, [1, 2], tau, eta, params, rng) == 1 for _ in range(shots))
     assert abs(hits / shots - 0.75) <= 4 * math.sqrt(0.75 * 0.25 / shots)
 
 
-def test_selection_probabilities_sum_to_one_random():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        n = int(rng.integers(3, 10))
-        tau = rng.uniform(0.1, 5.0, size=(n, n))
-        tau = (tau + tau.T) / 2
-        np.fill_diagonal(tau, 0.0)
-        eta = heuristic_matrix(rng.uniform(1.0, 50.0, size=(n, n)))
-        allowed = list(rng.permutation(n)[: int(rng.integers(2, n))])
-        probs = selection_probabilities(0, allowed, tau, eta, AcoParams())
-        assert abs(probs.sum() - 1.0) <= 1e-12
-        assert np.all(probs >= 0.0)
-
-
 def test_construct_two_nodes():
     inst = gen_random_instance(2, 0, 10.0)
     tau = init_pheromone(2)
-    tour = construct_tour(inst, [0, 1], tau, AcoParams(), np.random.default_rng(4))
+    tour = construct(inst, [0, 1], tau, AcoParams(), np.random.default_rng(4))
     assert sorted(tour.order) == [0, 1]
 
 
@@ -113,7 +108,7 @@ def test_construct_uniform_over_cycles():
     counts = {}
     shots = 10_000
     for _ in range(shots):
-        tour = construct_tour(inst, [0, 1, 2, 3], tau, params, rng)
+        tour = construct(inst, [0, 1, 2, 3], tau, params, rng)
         assert validate_tour(tour.order, 4)
         key = cycle_class(list(tour.order))
         counts[key] = counts.get(key, 0) + 1

@@ -2,6 +2,7 @@
 vectorised 2-opt scan against the seed's implementations.
 
 The reference section below is the code they replaced, copied verbatim:
+the pheromone floor and distance guard, ``init_pheromone``,
 ``heuristic_matrix``, ``next_node``, ``_construct``, ``construct_tour``,
 ``update_pheromone`` and the ``aco_solve`` loop from ``aco``, and
 ``two_opt`` from ``hybrid``.  The new code keeps every random draw and every
@@ -18,13 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qacotsp import aco, hybrid
-from qacotsp.aco import (
-    PHEROMONE_FLOOR,
-    ZERO_DIST_GUARD,
-    AcoParams,
-    EmptyAllowedSet,
-    init_pheromone,
-)
+from qacotsp.aco import AcoParams, EmptyAllowedSet
 from qacotsp.bench import resolve_instance
 from qacotsp.hybrid import HybridConfig, LeafSolver, Refinement, solve_hybrid
 from qacotsp.tsplib import (
@@ -40,6 +35,16 @@ from qacotsp.tsplib import (
 
 # ---------------------------------------------------------------------------
 # reference: the seed's per-step implementation, verbatim
+
+PHEROMONE_FLOOR = 1e-12
+ZERO_DIST_GUARD = 1e-9
+
+
+def init_pheromone(k: int, tau0: float = 1.0) -> np.ndarray:
+    """Uniform symmetric pheromone matrix with zero diagonal."""
+    tau = np.full((k, k), tau0, dtype=float)
+    np.fill_diagonal(tau, 0.0)
+    return tau
 
 
 def heuristic_matrix(D: np.ndarray) -> np.ndarray:
@@ -329,8 +334,9 @@ def test_construct_tour_matches_reference(metric, data_dir):
     tau = init_pheromone(len(indices))
     for seed in range(30):
         params = AcoParams(q0=(0.0, 0.9, 1.0)[seed % 3])
-        assert aco.construct_tour(inst, indices, tau, params, np.random.default_rng(seed),
-                                  metric) == \
+        eta = aco.heuristic_matrix(distance_matrix(inst, metric, indices))
+        W = aco._weights(tau, eta ** params.beta, params.alpha)
+        assert aco._construct(W, params.q0, np.random.default_rng(seed)) == \
             construct_tour(inst, indices, tau, params, np.random.default_rng(seed), metric)
 
 

@@ -15,13 +15,10 @@ from qacotsp.bench import (
     cmd_estimate_error,
     cmd_noise_sweep,
     cmd_solve,
-    load_records_csv,
     parse_metric,
     parse_noise,
-    records_to_csv_text,
     resolve_instance,
     run_single,
-    sweep_deviation,
     write_records_csv,
     write_records_json,
 )
@@ -125,16 +122,6 @@ def test_records_deterministic_per_seed(tmp_path):
     assert [r.tour for r in a] == [r.tour for r in b]
 
 
-def test_csv_roundtrip_byte_identical(tmp_path):
-    out = tmp_path / "runs"
-    cmd_solve("random:8:5:100", "aco", [0, 1], NoiseSpec(), MetricMode.PLAIN,
-              str(out), FAST_QACO, FAST_ACO)
-    path = out / "results.csv"
-    original = path.read_text()
-    loaded = load_records_csv(path)
-    assert records_to_csv_text(loaded) == original
-
-
 def test_cmd_compare_single_dataset(tmp_path):
     rows = cmd_compare(["random:9:11:100"], [0, 1, 2], MetricMode.PLAIN,
                        str(tmp_path / "runs"), {"random-9-s11": 123.0},
@@ -207,11 +194,16 @@ def test_noise_sweep_requires_noisy_kind(tmp_path):
                         str(tmp_path / "runs"))
 
 
-def test_sweep_deviation_matches_independent_recomputation():
-    medians = {0.01: 110.0, 0.05: 95.0}
-    baseline = 100.0
-    expected = max(abs(110.0 - 100.0), abs(95.0 - 100.0)) / 100.0 * 100.0
-    assert sweep_deviation(medians, baseline) == pytest.approx(expected)
+def test_sweep_deviation_matches_independent_recomputation(tmp_path):
+    out = tmp_path / "runs"
+    summary = cmd_noise_sweep("random:8:13:100", "bitflip", [0, 1], MetricMode.PLAIN,
+                              str(out), levels=[0.01, 0.1], qaco_params=FAST_QACO,
+                              aco_params=FAST_ACO, hybrid_overrides=FAST_HYBRID)
+    baseline = summary["baseline"]
+    expected = max(abs(m - baseline) for m in summary["levels"].values()) / baseline * 100.0
+    assert summary["deviation"] == pytest.approx(expected)
+    row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert float(row[-1]) == pytest.approx(expected, abs=5e-5)
 
 
 def test_estimate_error_preset_and_file(tmp_path):
@@ -303,6 +295,23 @@ def test_cli_estimate_error(tmp_path, capsys):
     assert cli.main(["estimate-error", "--preset", "nope"]) == 2
     # 2 bits per city cannot encode the 10 cities of a 21-qubit register
     assert cli.main(["estimate-error", "--preset", "heron-10city"]) == 2
+
+
+@pytest.mark.parametrize("layers, message", [
+    ([{"m": 2}], "non-empty 'gates' list"),
+    ([1], "must be a JSON object"),
+    ([{"gates": [["ry", 2]]}], "each gate must be [name, int count, number rate]"),
+    ([{"gates": "ry"}], "non-empty 'gates' list"),
+    ([{"gates": [["ry", True, 0.001]]}], "each gate must be [name, int count, number rate]"),
+], ids=["no-gates", "not-an-object", "short-gate", "gates-not-a-list", "bool-count"])
+def test_cli_malformed_layers_file_exits_2_before_writing(layers, message, tmp_path, capsys):
+    path = tmp_path / "layers.json"
+    path.write_text(json.dumps(layers))
+    out = tmp_path / "runs"
+    assert cli.main(["estimate-error", "--layers", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: layer 1") and message in err
 
 
 @pytest.mark.parametrize("config, allowed", [
@@ -468,7 +477,8 @@ def test_cli_compare_duplicate_dataset_names_exit_2_before_writing(tmp_path, cap
 
 
 @pytest.mark.parametrize("csv_text, json_text", [
-    (records_to_csv_text([RunRecord("demo", "aco", 0, "none", 0.0, 10.0, 5, 1.5, (0, 1, 2))]),
+    (CSV_HEADER + "\n"
+     + RunRecord("demo", "aco", 0, "none", 0.0, 10.0, 5, 1.5, (0, 1, 2)).csv_row() + "\n",
      '{"a": 1}\n'),
     ("city,x,y\n1,2,3\n", "[]\n"),
 ], ids=["json-not-a-list", "foreign-csv-header"])
@@ -524,7 +534,8 @@ def test_append_keeps_existing_bytes(tmp_path):
     path = tmp_path / "results.csv"
     write_records_csv([_record(0)], path)
     write_records_csv([_record(1), _record(2)], path)
-    assert path.read_text() == records_to_csv_text([_record(0), _record(1), _record(2)])
+    assert path.read_text() == CSV_HEADER + "\n" + "".join(
+        _record(seed).csv_row() + "\n" for seed in range(3))
 
 
 @pytest.mark.parametrize("writer", [write_records_csv, write_records_json])

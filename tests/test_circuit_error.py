@@ -96,13 +96,11 @@ def test_monotonicity_random_perturbations():
 
 
 def test_qaco_layers_shapes():
-    layers4 = qaco_circuit_layers(4, include_ancilla=True)
+    layers4 = qaco_circuit_layers(4)
     assert layers4[0].m == 9  # 2*4 path qubits + ancilla
     assert layers4[0].gate_counts[0].count == 9
-    layers10 = qaco_circuit_layers(10, include_ancilla=True)
+    layers10 = qaco_circuit_layers(10)
     assert layers10[0].m == 21
-    no_anc = qaco_circuit_layers(4, include_ancilla=False)
-    assert no_anc[0].m == 8
     report = estimate_circuit_error(layers4)
     assert 0.0 <= report.s <= 1.0
 

@@ -8,7 +8,6 @@ from qacotsp.qaco import (
     MAX_CITIES,
     ROTATION_TABLE,
     LengthMismatch,
-    PheromoneRegister,
     QacoParams,
     RepairError,
     SolutionPool,
@@ -197,52 +196,52 @@ def test_rotation_table_rows():
 
 
 def test_rotation_update_directions():
-    reg = PheromoneRegister(np.full(4, math.pi / 2))
+    reg = np.full(4, math.pi / 2)
     # x=0000, b=0000, not worse: every angle moves +0.04*pi
     out = rotation_update(reg, "0000", "0000", 1.0, 2.0)
-    assert np.allclose(out.thetas, math.pi / 2 + 0.04 * math.pi)
+    assert np.allclose(out, math.pi / 2 + 0.04 * math.pi)
     # x=1, b=0, not worse: -0.07*pi
-    reg2 = PheromoneRegister(np.full(1, math.pi / 2))
+    reg2 = np.full(1, math.pi / 2)
     out2 = rotation_update(reg2, "1", "0", 1.0, 2.0)
-    assert out2.thetas[0] == pytest.approx(math.pi / 2 - 0.07 * math.pi)
+    assert out2[0] == pytest.approx(math.pi / 2 - 0.07 * math.pi)
 
 
 def test_rotation_update_clamps():
-    reg = PheromoneRegister(np.full(1, THETA_MAX))
+    reg = np.full(1, THETA_MAX)
     out = rotation_update(reg, "0", "0", 1.0, 2.0)  # +0.04*pi would overflow
-    assert out.thetas[0] == pytest.approx(THETA_MAX)
-    reg_low = PheromoneRegister(np.full(1, THETA_MIN))
+    assert out[0] == pytest.approx(THETA_MAX)
+    reg_low = np.full(1, THETA_MIN)
     out_low = rotation_update(reg_low, "1", "1", 1.0, 2.0)  # -0.04*pi
-    assert out_low.thetas[0] == pytest.approx(THETA_MIN)
+    assert out_low[0] == pytest.approx(THETA_MIN)
 
 
 def test_rotation_update_starred_sign_flip():
     # theta beyond pi/2: sin*cos < 0, starred rows reverse direction
     theta = 0.75 * math.pi
-    reg = PheromoneRegister(np.array([theta]))
+    reg = np.array([theta])
     out = rotation_update(reg, "1", "1", 3.0, 2.0)  # worse, starred +0.01*pi
-    assert out.thetas[0] == pytest.approx(theta - 0.01 * math.pi)
-    reg2 = PheromoneRegister(np.array([0.25 * math.pi]))
+    assert out[0] == pytest.approx(theta - 0.01 * math.pi)
+    reg2 = np.array([0.25 * math.pi])
     out2 = rotation_update(reg2, "1", "1", 3.0, 2.0)
-    assert out2.thetas[0] == pytest.approx(0.25 * math.pi + 0.01 * math.pi)
+    assert out2[0] == pytest.approx(0.25 * math.pi + 0.01 * math.pi)
 
 
 def test_rotation_update_length_check():
-    reg = PheromoneRegister(np.full(4, math.pi / 2))
+    reg = np.full(4, math.pi / 2)
     with pytest.raises(LengthMismatch):
         rotation_update(reg, "00", "0000", 1.0, 1.0)
 
 
 def test_rotation_update_bounds_random_walk():
     rng = np.random.default_rng(3)
-    reg = PheromoneRegister(np.full(8, math.pi / 2))
+    reg = np.full(8, math.pi / 2)
     for _ in range(500):
         x = "".join(rng.choice(["0", "1"], size=8))
         b = "".join(rng.choice(["0", "1"], size=8))
         fx, fb = rng.uniform(1, 10, size=2)
         reg = rotation_update(reg, x, b, fx, fb)
-        assert np.all(reg.thetas >= THETA_MIN - 1e-12)
-        assert np.all(reg.thetas <= THETA_MAX + 1e-12)
+        assert np.all(reg >= THETA_MIN - 1e-12)
+        assert np.all(reg <= THETA_MAX + 1e-12)
 
 
 # ---------------------------------------------------------------------------

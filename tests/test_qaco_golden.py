@@ -2,9 +2,10 @@
 bitstring implementation.
 
 The reference section below is the string implementation the integer core
-replaced, copied verbatim: ``noisy_sample`` and ``sample_ancilla`` from
-``qsim``, and the pool, the string helpers and the ``qaco_solve`` loop from
-``qaco``.  The integer core keeps every random draw and every float
+replaced, copied verbatim: the angle bounds, ``clamp_angle``,
+``noisy_sample`` and ``sample_ancilla`` from ``qsim``, and the repair
+window, the rotation table, the register, the pool, the string helpers and
+the ``qaco_solve`` loop from ``qaco``.  The integer core keeps every random draw and every float
 operation of the reference, so every ``QacoResult`` field must be equal, not
 merely close.
 """
@@ -20,22 +21,13 @@ from hypothesis import strategies as st
 from qacotsp import qaco
 from qacotsp.qaco import (
     MAX_CITIES,
-    RANDOM_FEASIBLE_WINDOW,
-    ROTATION_TABLE,
     LengthMismatch,
-    PheromoneRegister,
     QacoParams,
     QacoResult,
     TooFewCities,
     TooManyCities,
 )
-from qacotsp.qsim import (
-    NO_NOISE,
-    AngleOutOfRange,
-    NoiseKind,
-    NoiseSpec,
-    clamp_angle,
-)
+from qacotsp.qsim import NO_NOISE, AngleOutOfRange, NoiseKind, NoiseSpec
 from qacotsp.tsplib import (
     Instance,
     MetricMode,
@@ -48,6 +40,33 @@ from qacotsp.tsplib import (
 
 # ---------------------------------------------------------------------------
 # reference: the seed's bitstring implementation, verbatim
+
+THETA_MIN = 0.01 * math.pi
+THETA_MAX = 0.99 * math.pi
+
+# Iterations during which infeasible samples are repaired by a uniformly
+# random feasible tour instead of the Hamming-distance rule.
+RANDOM_FEASIBLE_WINDOW = 10
+
+# Pheromone-angle update table keyed by (bit of iteration best x_i, bit of
+# global best b_i, iteration best worse than global best).  Values are
+# (delta_theta, starred); starred rows reverse direction when
+# sin(theta) * cos(theta) < 0, i.e. when theta sits past pi/2.
+ROTATION_TABLE = {
+    (0, 0, True): (-0.01 * math.pi, True),
+    (0, 0, False): (0.04 * math.pi, False),
+    (0, 1, True): (-0.05 * math.pi, True),
+    (0, 1, False): (0.07 * math.pi, False),
+    (1, 0, True): (0.05 * math.pi, True),
+    (1, 0, False): (-0.07 * math.pi, False),
+    (1, 1, True): (0.01 * math.pi, True),
+    (1, 1, False): (-0.04 * math.pi, False),
+}
+
+
+def clamp_angle(theta: float) -> float:
+    """Clamp a pheromone angle into [THETA_MIN, THETA_MAX]."""
+    return min(THETA_MAX, max(THETA_MIN, theta))
 
 
 def noisy_sample(thetas, noise: NoiseSpec, rng: np.random.Generator) -> str:
@@ -96,6 +115,17 @@ def sample_ancilla(theta: float, noise: NoiseSpec, rng: np.random.Generator) -> 
     if not (0.0 <= theta <= math.pi / 2.0 + 1e-12):
         raise AngleOutOfRange(f"ancilla angle must be in [0, pi/2], got {theta}")
     return int(noisy_sample([theta], noise, rng)[0])
+
+
+@dataclass
+class PheromoneRegister:
+    """Rotation angles, one per qubit (2 per tour position), clamp-bounded."""
+
+    thetas: np.ndarray
+
+    @classmethod
+    def uniform(cls, k_cities: int) -> "PheromoneRegister":
+        return cls(np.full(2 * k_cities, math.pi / 2.0))
 
 
 @dataclass

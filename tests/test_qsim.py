@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from qacotsp.qaco import rotation_update
 from qacotsp.qsim import (
+    THETA_MAX,
+    THETA_MIN,
     AngleOutOfRange,
     NO_NOISE,
     NoiseKind,
@@ -13,7 +16,6 @@ from qacotsp.qsim import (
     StateVector,
     apply_ry,
     apply_x,
-    clamp_angle,
     code_from_draws,
     draws_per_qubit,
     measure_all,
@@ -21,7 +23,6 @@ from qacotsp.qsim import (
     noisy_sample,
     ry_product_state,
     sample_ancilla,
-    sample_code,
     zero_state,
 )
 
@@ -280,9 +281,13 @@ def test_ancilla_angle_range():
 
 
 def test_clamp_angle():
-    assert clamp_angle(0.0) == pytest.approx(0.01 * math.pi)
-    assert clamp_angle(math.pi) == pytest.approx(0.99 * math.pi)
-    assert clamp_angle(1.0) == 1.0
+    # The register clamp lives in qaco's rotation sweep: an angle below or
+    # above the bounds lands on them, one between them moves by the bare step.
+    assert THETA_MIN == pytest.approx(0.01 * math.pi)
+    assert THETA_MAX == pytest.approx(0.99 * math.pi)
+    assert rotation_update(np.array([0.0]), "1", "1", 1.0, 2.0)[0] == THETA_MIN
+    assert rotation_update(np.array([math.pi]), "0", "0", 1.0, 2.0)[0] == THETA_MAX
+    assert rotation_update(np.array([1.0]), "0", "0", 1.0, 2.0)[0] == 1.0 + 0.04 * math.pi
 
 
 def test_noise_spec_validation():
@@ -335,5 +340,5 @@ def test_sample_code_is_code_from_one_draw(n, kind, rate):
         for row in thetas:
             p1, q1 = measurement_probabilities(row)
             expected = code_from_draws(b.random(n * m).tolist(), p1, q1, noise)
-            assert sample_code(p1, q1, noise, a) == expected
+            assert noisy_sample(row, noise, a) == format(expected, f"0{n}b")
         assert a.bit_generator.state == b.bit_generator.state
