@@ -8,9 +8,9 @@ edges.
 
 The weights W = tau^alpha * eta^beta change only when the pheromone does, so
 ``aco_solve`` computes eta^beta once per solve and W once per iteration, and
-each ant walks W with a mask of the cities it may still visit.  This equals
-evaluating the rule afresh at every step on the gathered candidates, bit for
-bit:
+each ant walks W with a mask of the cities it may still visit, one
+``next_node`` call on its masked row per move.  This equals evaluating the
+rule afresh at every step on the gathered candidates, bit for bit:
 
 * numpy's power and product work element by element, so W[r, j] is the
   same double whether it is computed in the full matrix or in a gathered
@@ -90,13 +90,16 @@ def _weights(tau: np.ndarray, eta_beta: np.ndarray, alpha: float) -> np.ndarray:
     return W
 
 
-def _step(row: np.ndarray, avail: np.ndarray, left: int, q0: float, rng) -> int:
+def next_node(row: np.ndarray, avail: np.ndarray, left: int, q0: float, rng) -> int:
     """One move of the pseudo-random-proportional rule; returns an index into ``row``.
 
     ``avail`` marks the ``left`` candidates among the entries of the weight
-    row ``row``, whose other entries are -inf.  A single candidate is taken
-    without a random draw.
+    row ``row``, whose other entries are -inf.  Greedy argmax ties break
+    toward the lowest index.  A single candidate is taken without a random
+    draw; no candidate raises ``EmptyAllowedSet``.
     """
+    if left < 1:
+        raise EmptyAllowedSet(f"no candidate moves: {left} cities left")
     if left == 1:
         return int(avail.argmax())
     if rng.random() <= q0:
@@ -111,24 +114,6 @@ def _step(row: np.ndarray, avail: np.ndarray, left: int, q0: float, rng) -> int:
     return int(np.flatnonzero(avail)[min(pick, left - 1)])
 
 
-def next_node(r: int, allowed, tau: np.ndarray, eta: np.ndarray, params: AcoParams,
-              rng: np.random.Generator) -> int:
-    """Pick the next node from ``allowed`` by the pseudo-random-proportional rule.
-
-    Greedy argmax ties break toward the lowest node index.  On the
-    exploration branch the selection probabilities over ``allowed`` are
-    normalized weights tau^alpha * eta^beta.
-    """
-    allowed = np.asarray(allowed, dtype=np.intp)
-    if allowed.size == 0:
-        raise EmptyAllowedSet(f"no candidate moves from node {r}")
-    if np.any(allowed[1:] < allowed[:-1]):
-        allowed = np.sort(allowed)
-    weights = _weights(tau[r, allowed], eta[r, allowed] ** params.beta, params.alpha)
-    everyone = np.ones(allowed.size, dtype=bool)
-    return int(allowed[_step(weights, everyone, allowed.size, params.q0, rng)])
-
-
 def _construct(W: np.ndarray, q0: float, rng) -> Tour:
     """One ant's walk over the weight matrix ``W``."""
     k = W.shape[0]
@@ -140,7 +125,7 @@ def _construct(W: np.ndarray, q0: float, rng) -> Tour:
     for left in range(k - 1, 0, -1):
         avail[current] = False
         columns[current].fill(-np.inf)
-        current = _step(masked[current], avail, left, q0, rng)
+        current = next_node(masked[current], avail, left, q0, rng)
         order.append(current)
     return Tour(tuple(order))
 

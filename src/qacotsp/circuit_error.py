@@ -69,16 +69,17 @@ def estimate_circuit_error(layers) -> CircuitErrorReport:
         raise EmptyCircuit("at least one layer is required")
     survive = 1.0
     averages = []
-    for spec in layers:
-        if spec.m < 1:
-            raise EmptyCircuit(f"layer gate count m must be >= 1, got {spec.m}")
+    for j, spec in enumerate(layers, start=1):
         if not spec.gate_counts:
-            raise EmptyCircuit("layer without gate counts")
+            raise EmptyCircuit(f"layer {j} has no gate counts")
         for g in spec.gate_counts:
             if g.count < 1:
-                raise EmptyCircuit(f"gate count must be positive, got {g.count}")
+                raise EmptyCircuit(f"layer {j}: gate count must be positive, got {g.count}")
             if not 0.0 <= g.error_rate <= 1.0:
-                raise RateOutOfRange(f"error rate out of [0, 1]: {g.error_rate}")
+                raise RateOutOfRange(f"layer {j}: error rate out of [0, 1]: {g.error_rate}")
+        # Checked after the gates: m defaults to their total, which a zero count empties.
+        if spec.m < 1:
+            raise EmptyCircuit(f"layer {j}: gate count m must be >= 1, got {spec.m}")
         avg = spec.average_rate()
         averages.append(avg)
         survive *= (1.0 - avg) ** spec.m

@@ -14,13 +14,14 @@ Qubit 0 is the most significant bit, as in ``qsim``, so position i's city
 sits in bits 2(k-1-i)+1 and 2(k-1-i) and the code of tour (2, 0, 1) is
 0b100001.  A per-solve table maps each of the 4^k codes to its ``Tour``, or
 to None when the code repeats a city or names one >= k, and the k! cycle
-lengths are computed once per solve.  The bitstring helpers
-(``encode_tour``, ``decode_bits``, ``hamming``, ``repair_infeasible``,
-``maybe_mutate``, ``rotation_update``) convert at their boundary and call the
-same code; ``rotation_update`` takes and returns the angles as a float
-array, which the solver keeps as a list.  ``SolutionPool`` entries keep
-bitstrings for every caller; the solver mirrors their int codes in a list
-and a set it rebuilds when the pool changes.
+lengths are computed once per solve.  The two operators
+``rotation_update`` and ``maybe_mutate`` take int codes, and the solver
+calls them by name; ``rotation_update`` takes and returns the angles as a
+list.  The bitstring helpers (``encode_tour``, ``decode_bits``,
+``hamming``, ``repair_infeasible``) convert at their boundary and call the
+same code.  ``SolutionPool`` entries keep bitstrings for every caller; the
+solver mirrors their int codes in a list and a set it rebuilds when the
+pool changes.
 
 One iteration of ``qaco_solve`` draws, with m = ``qsim.draws_per_qubit``
 (1 noiseless, 3 under noise):
@@ -256,11 +257,23 @@ def repair_infeasible(bits: str, pool: SolutionPool, iteration: int, k: int,
     return _decode_table(k)[code]
 
 
-def _rotate(thetas: list, x: int, b: int, worse: bool) -> list:
-    """``rotation_update`` on a list of angles, with x and b as int codes."""
+def rotation_update(thetas: list, x: int, b: int, worse: bool) -> list:
+    """One lookup-table sweep of the register angles, one per qubit.
+
+    ``x`` is the iteration best's code, ``b`` the global best's, with qubit
+    0 as the most significant of ``len(thetas)`` bits; the table row is
+    selected by the two bits and by whether the iteration best is worse.
+    Starred rows flip the step's sign when sin(theta_i) * cos(theta_i) < 0
+    so the rotation keeps pointing back toward the balanced angle region.
+    Results are clamped to [``qsim.THETA_MIN``, ``qsim.THETA_MAX``].  Raises
+    ``LengthMismatch`` when ``x`` or ``b`` has a bit at or above
+    ``len(thetas)``.
+    """
+    shift = len(thetas)
+    if (x | b) >> shift:
+        raise LengthMismatch(f"codes {x:#b} and {b:#b} must fit in {shift} bits")
     table = ROTATION_TABLE
     new = []
-    shift = len(thetas)
     for theta in thetas:
         shift -= 1
         delta, starred = table[((x >> shift) & 1, (b >> shift) & 1, worse)]
@@ -271,51 +284,23 @@ def _rotate(thetas: list, x: int, b: int, worse: bool) -> list:
     return new
 
 
-def rotation_update(thetas: np.ndarray, x: str, b: str, fx: float, fb: float) -> np.ndarray:
-    """One lookup-table sweep of the register angles, one per qubit.
+def maybe_mutate(code: int, n_bits: int, noise: NoiseSpec, rng: np.random.Generator) -> int:
+    """Ancilla-gated one-bit flip of an int code of ``n_bits`` bits.
 
-    ``x`` is the iteration-best bitstring, ``b`` the global-best one; the
-    table row is selected by the two bits and by whether the iteration best
-    is worse (fx > fb).  Starred rows flip the step's sign when
-    sin(theta_i) * cos(theta_i) < 0 so the rotation keeps pointing back
-    toward the balanced angle region.  Results are clamped to
-    [``qsim.THETA_MIN``, ``qsim.THETA_MAX``].
+    A mutation angle is drawn uniformly from [0, pi/2] and loaded on the
+    ancilla; if the measured ancilla reads 1, one uniformly chosen bit is
+    flipped (the Pauli-X analog on the sampled path).  The caller applies
+    the stall gate.  One ``rng.random(1 + draws_per_qubit(noise))`` call
+    draws the angle and then the ancilla's ``code_from_draws`` draws:
+    numpy's ``uniform(0, pi/2)`` is ``0.0 + (pi/2) * random()``, which
+    equals ``(pi/2) * random()`` bit for bit.  Only when the ancilla reads 1
+    does ``rng.integers(n_bits)`` pick the bit to flip.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if len(x) != len(thetas) or len(b) != len(thetas):
-        raise LengthMismatch("bitstring length must equal register size")
-    return np.array(_rotate(thetas.tolist(), int(x, 2), int(b, 2), bool(fx > fb)))
-
-
-def _mutate(code: int, n_bits: int, noise: NoiseSpec, rng: np.random.Generator,
-            n_draws: int) -> int:
-    """The ancilla gate of ``maybe_mutate`` on an int code of ``n_bits`` bits.
-
-    ``n_draws`` is ``1 + draws_per_qubit(noise)``.  One ``rng.random(n_draws)``
-    call draws the mutation angle and then the ancilla's ``code_from_draws``
-    draws: numpy's ``uniform(0, pi/2)`` is ``0.0 + (pi/2) * random()``,
-    which equals ``(pi/2) * random()`` bit for bit.  Only when the ancilla
-    reads 1 does ``rng.integers(n_bits)`` pick the bit to flip.
-    """
-    draws = rng.random(n_draws).tolist()
+    draws = rng.random(1 + draws_per_qubit(noise)).tolist()
     theta_m = (math.pi / 2.0) * draws[0]
     if code_from_draws(draws[1:], *measurement_probabilities([theta_m]), noise):
         code ^= 1 << (n_bits - 1 - int(rng.integers(n_bits)))
     return code
-
-
-def maybe_mutate(bits: str, stagnant_iters: int, params: QacoParams,
-                 noise: NoiseSpec, rng: np.random.Generator) -> str:
-    """Ancilla-gated one-bit flip, active only after a stall.
-
-    A mutation angle is drawn uniformly from [0, pi/2] and loaded on the
-    ancilla; if the measured ancilla reads 1, one uniformly chosen bit is
-    flipped (the Pauli-X analog on the sampled path).
-    """
-    if stagnant_iters < params.stall_window:
-        return bits
-    code = _mutate(int(bits, 2), len(bits), noise, rng, 1 + draws_per_qubit(noise))
-    return format(code, f"0{len(bits)}b")
 
 
 def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
@@ -356,8 +341,7 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
     pool_set = set()
     cdfs, code_cdfs = {}, {}
     random = rng.random
-    m = draws_per_qubit(noise)
-    sample_draws, gate_draws = n_bits * m, 1 + m
+    sample_draws = n_bits * draws_per_qubit(noise)
     best_code = None
     best_len = math.inf
     stagnant = 0
@@ -394,12 +378,12 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
 
         if stagnant >= params.stall_window:
             for ant in range(params.n_ants):
-                mutated = _mutate(codes[ant], n_bits, noise, rng, gate_draws)
+                mutated = maybe_mutate(codes[ant], n_bits, noise, rng)
                 if mutated != codes[ant]:
                     mutations += 1
                     codes[ant] = mutated
 
-        thetas = _rotate(thetas, codes[iter_idx], best_code, iter_len > best_len)
+        thetas = rotation_update(thetas, codes[iter_idx], best_code, iter_len > best_len)
         history.append(best_len)
         if stagnant >= params.convergence_window:
             break

@@ -136,7 +136,8 @@ def parse_instance(text: str) -> Instance:
     """Parse a TSPLIB NODE_COORD_SECTION instance (EUC_2D or GEO only).
 
     Unknown header keys are ignored.  The 1-based node ids must cover exactly
-    1..DIMENSION; they are remapped to 0-based indices.
+    1..DIMENSION; they are remapped to 0-based indices.  A NAME holding any
+    of , " / \\ < > & raises ``MalformedHeader``.
     """
     name = "unnamed"
     dimension = None
@@ -157,6 +158,10 @@ def parse_instance(text: str) -> Instance:
             key = key.strip().upper()
             value = value.strip()
             if key == "NAME":
+                bad = next((c for c in value if c in ',"/\\<>&'), None)
+                if bad is not None:
+                    raise MalformedHeader(f"NAME {value!r} contains {bad!r}, which breaks "
+                                          "the results CSV, a plot path or the SVG text")
                 name = value
             elif key == "DIMENSION":
                 try:

@@ -36,6 +36,15 @@ def construct(inst, indices, tau, params, rng):
     return _construct(_weights(tau, eta ** params.beta, params.alpha), params.q0, rng)
 
 
+def step(r, allowed, tau, eta, params, rng):
+    """``next_node`` on the masked row ``_construct`` walks from node ``r``."""
+    avail = np.zeros(len(tau), dtype=bool)
+    avail[allowed] = True
+    row = _weights(tau[r], eta[r] ** params.beta, params.alpha)
+    row[~avail] = -np.inf
+    return next_node(row, avail, int(avail.sum()), params.q0, rng)
+
+
 def brute_force_cycle(coords):
     """Exhaustive optimum over (n-1)!/2 distinct cycles, straight from points."""
     n = len(coords)
@@ -55,14 +64,15 @@ def test_next_node_single_candidate():
     eta = heuristic_matrix(np.ones((3, 3)))
     rng = np.random.default_rng(0)
     for _ in range(10):
-        assert next_node(0, [2], tau, eta, AcoParams(), rng) == 2
+        assert step(0, [2], tau, eta, AcoParams(), rng) == 2
+    assert rng.random() == np.random.default_rng(0).random()  # no draw was taken
 
 
 def test_next_node_empty_allowed():
     tau = init_pheromone(3)
     eta = heuristic_matrix(np.ones((3, 3)))
     with pytest.raises(EmptyAllowedSet):
-        next_node(0, [], tau, eta, AcoParams(), np.random.default_rng(0))
+        step(0, [], tau, eta, AcoParams(), np.random.default_rng(0))
 
 
 def test_next_node_greedy_when_q0_one():
@@ -71,7 +81,7 @@ def test_next_node_greedy_when_q0_one():
     params = AcoParams(alpha=1.0, beta=0.0, q0=1.0)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        assert next_node(0, [1, 2], tau, eta, params, rng) == 1
+        assert step(0, [1, 2], tau, eta, params, rng) == 1
 
 
 def test_exploration_probabilities_three_to_one():
@@ -81,7 +91,7 @@ def test_exploration_probabilities_three_to_one():
     params = AcoParams(alpha=1.0, beta=0.0, q0=0.0)
     rng = np.random.default_rng(2)
     shots = 20_000
-    hits = sum(next_node(0, [1, 2], tau, eta, params, rng) == 1 for _ in range(shots))
+    hits = sum(step(0, [1, 2], tau, eta, params, rng) == 1 for _ in range(shots))
     assert abs(hits / shots - 0.75) <= 4 * math.sqrt(0.75 * 0.25 / shots)
 
 

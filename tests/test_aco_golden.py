@@ -271,6 +271,15 @@ def test_coincident_points():
                                metric=PLAIN)
 
 
+def live_next_node(r, allowed, tau, eta, params, rng):
+    """``aco.next_node`` on the masked row ``_construct`` walks from node ``r``."""
+    avail = np.zeros(len(tau), dtype=bool)
+    avail[np.asarray(allowed, dtype=np.intp)] = True
+    row = aco._weights(tau[r], eta[r] ** params.beta, params.alpha)
+    row[~avail] = -np.inf
+    return aco.next_node(row, avail, int(avail.sum()), params.q0, rng)
+
+
 def test_next_node_matches_reference():
     rng = np.random.default_rng(11)
     for trial in range(300):
@@ -282,11 +291,11 @@ def test_next_node_matches_reference():
         allowed = [int(v) for v in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
         a, b = np.random.default_rng([trial]), np.random.default_rng([trial])
         for _ in range(5):
-            assert aco.next_node(0, allowed, tau, eta, params, a) == \
+            assert live_next_node(0, allowed, tau, eta, params, a) == \
                 next_node(0, allowed, tau, eta, params, b)
         assert a.random() == b.random()  # the same number of draws was taken
     with pytest.raises(EmptyAllowedSet):
-        aco.next_node(0, [], tau, eta, AcoParams(), rng)
+        live_next_node(0, [], tau, eta, AcoParams(), rng)
 
 
 class ScriptedRng:
@@ -323,7 +332,7 @@ def test_exploration_boundaries_match_reference():
                 draws.add(float(u))
             u = np.nextafter(u, 1.0)
     for u in sorted(draws):
-        assert aco.next_node(0, allowed, tau, eta, params, ScriptedRng([0.9, u])) == \
+        assert live_next_node(0, allowed, tau, eta, params, ScriptedRng([0.9, u])) == \
             next_node(0, allowed, tau, eta, params, ScriptedRng([0.9, u])), u
 
 

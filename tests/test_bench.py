@@ -30,6 +30,8 @@ from qacotsp.tsplib import (
     InvariantError,
     MetricMode,
     Tour,
+    format_instance,
+    gen_random_instance,
     load_instance,
     parse_instance,
     tour_length,
@@ -281,8 +283,6 @@ def test_cli_gen_random_roundtrip(tmp_path):
     assert code == 0
     inst = load_instance(path)
     assert inst.dimension == 12
-    from qacotsp.tsplib import gen_random_instance
-
     direct = gen_random_instance(12, 4, 250.0)
     assert np.allclose(inst.coords, direct.coords, atol=1e-9)
 
@@ -303,7 +303,9 @@ def test_cli_estimate_error(tmp_path, capsys):
     ([{"gates": [["ry", 2]]}], "each gate must be [name, int count, number rate]"),
     ([{"gates": "ry"}], "non-empty 'gates' list"),
     ([{"gates": [["ry", True, 0.001]]}], "each gate must be [name, int count, number rate]"),
-], ids=["no-gates", "not-an-object", "short-gate", "gates-not-a-list", "bool-count"])
+    ([{"gates": [["ry", 0, 0.1]]}], "gate count must be positive, got 0"),
+], ids=["no-gates", "not-an-object", "short-gate", "gates-not-a-list", "bool-count",
+        "zero-count"])
 def test_cli_malformed_layers_file_exits_2_before_writing(layers, message, tmp_path, capsys):
     path = tmp_path / "layers.json"
     path.write_text(json.dumps(layers))
@@ -312,6 +314,24 @@ def test_cli_malformed_layers_file_exits_2_before_writing(layers, message, tmp_p
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: layer 1") and message in err
+
+
+@pytest.mark.parametrize("name, bad, command", [
+    ("eil,51", ",", ["solve", "--solver", "qaco-hybrid"]),
+    ("sub/u16", "/", ["noise-sweep", "--noise", "bitflip", "--levels", "0.1"]),
+], ids=["solve-comma", "noise-sweep-slash"])
+def test_cli_instance_name_that_breaks_outputs_exits_2_before_writing(name, bad, command,
+                                                                      tmp_path, capsys):
+    # A comma adds a CSV field; a slash puts the plot in a missing directory.
+    text = format_instance(gen_random_instance(8, 5, 100.0))
+    path = tmp_path / "bad.tsp"
+    path.write_text(text.replace("NAME : random-8-s5", f"NAME : {name}"))
+    out = tmp_path / "runs"
+    assert cli.main(command + ["--instance", str(path), "--seeds", "0",
+                               "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert name in err and repr(bad) in err
 
 
 @pytest.mark.parametrize("config, allowed", [

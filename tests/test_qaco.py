@@ -196,52 +196,52 @@ def test_rotation_table_rows():
 
 
 def test_rotation_update_directions():
-    reg = np.full(4, math.pi / 2)
+    reg = [math.pi / 2] * 4
     # x=0000, b=0000, not worse: every angle moves +0.04*pi
-    out = rotation_update(reg, "0000", "0000", 1.0, 2.0)
+    out = rotation_update(reg, 0b0000, 0b0000, False)
     assert np.allclose(out, math.pi / 2 + 0.04 * math.pi)
     # x=1, b=0, not worse: -0.07*pi
-    reg2 = np.full(1, math.pi / 2)
-    out2 = rotation_update(reg2, "1", "0", 1.0, 2.0)
+    out2 = rotation_update([math.pi / 2], 0b1, 0b0, False)
     assert out2[0] == pytest.approx(math.pi / 2 - 0.07 * math.pi)
+    # qubit 0 is the most significant bit: x=10 moves only the first angle by -0.07*pi
+    out3 = rotation_update([math.pi / 2] * 2, 0b10, 0b00, False)
+    assert out3 == pytest.approx([math.pi / 2 - 0.07 * math.pi, math.pi / 2 + 0.04 * math.pi])
 
 
 def test_rotation_update_clamps():
-    reg = np.full(1, THETA_MAX)
-    out = rotation_update(reg, "0", "0", 1.0, 2.0)  # +0.04*pi would overflow
+    out = rotation_update([THETA_MAX], 0b0, 0b0, False)  # +0.04*pi would overflow
     assert out[0] == pytest.approx(THETA_MAX)
-    reg_low = np.full(1, THETA_MIN)
-    out_low = rotation_update(reg_low, "1", "1", 1.0, 2.0)  # -0.04*pi
+    out_low = rotation_update([THETA_MIN], 0b1, 0b1, False)  # -0.04*pi
     assert out_low[0] == pytest.approx(THETA_MIN)
 
 
 def test_rotation_update_starred_sign_flip():
     # theta beyond pi/2: sin*cos < 0, starred rows reverse direction
     theta = 0.75 * math.pi
-    reg = np.array([theta])
-    out = rotation_update(reg, "1", "1", 3.0, 2.0)  # worse, starred +0.01*pi
+    out = rotation_update([theta], 0b1, 0b1, True)  # worse, starred +0.01*pi
     assert out[0] == pytest.approx(theta - 0.01 * math.pi)
-    reg2 = np.array([0.25 * math.pi])
-    out2 = rotation_update(reg2, "1", "1", 3.0, 2.0)
+    out2 = rotation_update([0.25 * math.pi], 0b1, 0b1, True)
     assert out2[0] == pytest.approx(0.25 * math.pi + 0.01 * math.pi)
 
 
 def test_rotation_update_length_check():
-    reg = np.full(4, math.pi / 2)
+    reg = [math.pi / 2] * 4
+    assert len(rotation_update(reg, 0b1111, 0b1111, False)) == 4
     with pytest.raises(LengthMismatch):
-        rotation_update(reg, "00", "0000", 1.0, 1.0)
+        rotation_update(reg, 0b10000, 0b0000, False)
+    with pytest.raises(LengthMismatch):
+        rotation_update(reg, 0b0000, 0b100000, True)
 
 
 def test_rotation_update_bounds_random_walk():
     rng = np.random.default_rng(3)
-    reg = np.full(8, math.pi / 2)
+    reg = [math.pi / 2] * 8
     for _ in range(500):
-        x = "".join(rng.choice(["0", "1"], size=8))
-        b = "".join(rng.choice(["0", "1"], size=8))
+        x, b = (int(v) for v in rng.integers(0, 1 << 8, size=2))
         fx, fb = rng.uniform(1, 10, size=2)
-        reg = rotation_update(reg, x, b, fx, fb)
-        assert np.all(reg >= THETA_MIN - 1e-12)
-        assert np.all(reg <= THETA_MAX + 1e-12)
+        reg = rotation_update(reg, x, b, bool(fx > fb))
+        assert np.all(np.array(reg) >= THETA_MIN - 1e-12)
+        assert np.all(np.array(reg) <= THETA_MAX + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +249,13 @@ def test_rotation_update_bounds_random_walk():
 
 
 def test_mutation_inactive_without_stall():
-    rng = np.random.default_rng(4)
-    assert maybe_mutate("0101", 0, QacoParams(), NO_NOISE, rng) == "0101"
-    assert maybe_mutate("0101", 49, QacoParams(), NO_NOISE, rng) == "0101"
+    # The stall gate lives in qaco_solve: a stall window the search never
+    # reaches (it stops after convergence_window stagnant iterations) leaves
+    # no mutation, the defaults mutate.
+    inst = gen_random_instance(4, 15, 100.0)
+    quiet = QacoParams(stall_window=60, convergence_window=40)
+    assert qaco_solve(inst, range(4), quiet, seed=4, metric=MetricMode.PLAIN).mutations == 0
+    assert qaco_solve(inst, range(4), seed=4, metric=MetricMode.PLAIN).mutations > 0
 
 
 def test_mutation_rate_closed_form():
@@ -261,9 +265,9 @@ def test_mutation_rate_closed_form():
     shots = 40_000
     flips = 0
     for _ in range(shots):
-        out = maybe_mutate("00000000", 50, QacoParams(), NO_NOISE, rng)
-        if out != "00000000":
-            assert hamming(out, "00000000") == 1
+        out = maybe_mutate(0, 8, NO_NOISE, rng)
+        if out != 0:
+            assert hamming(format(out, "08b"), "00000000") == 1
             flips += 1
     assert abs(flips / shots - expected) <= 4 * math.sqrt(expected * (1 - expected) / shots)
 

@@ -7,7 +7,9 @@ replaced, copied verbatim: the angle bounds, ``clamp_angle``,
 window, the rotation table, the register, the pool, the string helpers and
 the ``qaco_solve`` loop from ``qaco``.  The integer core keeps every random draw and every float
 operation of the reference, so every ``QacoResult`` field must be equal, not
-merely close.
+merely close.  The operator oracles at the end hold the live int-code
+``rotation_update`` and ``maybe_mutate`` to the reference string forms one
+call at a time.
 """
 
 import math
@@ -472,3 +474,57 @@ def test_tied_cycle_lengths(coords):
     assert_same_solves(
         (inst, range(4), dict(noise=EDGE_NOISES[seed % 3], seed=seed, metric=PLAIN))
         for seed in range(9))
+
+
+# ---------------------------------------------------------------------------
+# operator oracles: the live int-code operators against the string reference,
+# converted at this boundary (code <-> bitstring, angle list <-> register)
+
+GATE_NOISES = [NO_NOISE, NoiseSpec(NoiseKind.BIT_FLIP, 0.0)] + NOISES + [
+    NoiseSpec(kind, 1.0) for kind in (NoiseKind.BIT_FLIP, NoiseKind.THERMAL_RELAXATION)]
+
+
+def reference_rotation(thetas: list, x: int, b: int, worse: bool) -> list:
+    n = len(thetas)
+    reg = rotation_update(PheromoneRegister(np.array(thetas, dtype=float)),
+                          format(x, f"0{n}b"), format(b, f"0{n}b"), float(worse), 0.0)
+    return reg.thetas.tolist()
+
+
+def reference_mutation(code: int, n_bits: int, noise: NoiseSpec, rng) -> int:
+    # A zero stall window opens the reference's gate at 0 stagnant iterations.
+    bits = maybe_mutate(format(code, f"0{n_bits}b"), 0, QacoParams(stall_window=0), noise, rng)
+    return int(bits, 2)
+
+
+def test_rotation_update_matches_reference():
+    rng = np.random.default_rng(21)
+    near = [THETA_MIN, THETA_MAX, 0.0, math.pi, math.pi / 2.0, -0.3, 4.0,
+            THETA_MIN + 0.005 * math.pi, THETA_MAX - 0.005 * math.pi,
+            np.nextafter(math.pi / 2.0, 0.0), np.nextafter(math.pi / 2.0, 4.0)]
+    for trial in range(400):
+        n = int(rng.integers(1, 9))
+        thetas = [float(rng.choice(near)) if rng.random() < 0.5
+                  else float(rng.uniform(-0.1, math.pi + 0.1)) for _ in range(n)]
+        for _ in range(6):  # a walk, so clamped angles are rotated again
+            x, b = (int(v) for v in rng.integers(0, 1 << n, size=2))
+            worse = bool(rng.random() < 0.5)
+            expected = reference_rotation(thetas, x, b, worse)
+            thetas = qaco.rotation_update(thetas, x, b, worse)
+            assert thetas == expected, (trial, x, b, worse)
+        assert all(THETA_MIN <= t <= THETA_MAX for t in thetas)
+
+
+@pytest.mark.parametrize("noise", GATE_NOISES, ids=lambda n: f"{n.kind.value}-{n.rate:g}")
+def test_maybe_mutate_matches_reference(noise):
+    codes = np.random.default_rng(22)
+    a, b = np.random.default_rng(23), np.random.default_rng(23)
+    flips = 0
+    for _ in range(600):
+        n_bits = int(codes.choice([4, 6, 8]))
+        code = int(codes.integers(0, 1 << n_bits))
+        mutated = qaco.maybe_mutate(code, n_bits, noise, a)
+        assert mutated == reference_mutation(code, n_bits, noise, b), (code, n_bits)
+        flips += mutated != code
+    assert a.random() == b.random()  # the same number of draws was taken
+    assert flips > 0 or (noise.kind is NoiseKind.THERMAL_RELAXATION and noise.rate == 1.0)

@@ -285,9 +285,9 @@ def test_clamp_angle():
     # above the bounds lands on them, one between them moves by the bare step.
     assert THETA_MIN == pytest.approx(0.01 * math.pi)
     assert THETA_MAX == pytest.approx(0.99 * math.pi)
-    assert rotation_update(np.array([0.0]), "1", "1", 1.0, 2.0)[0] == THETA_MIN
-    assert rotation_update(np.array([math.pi]), "0", "0", 1.0, 2.0)[0] == THETA_MAX
-    assert rotation_update(np.array([1.0]), "0", "0", 1.0, 2.0)[0] == 1.0 + 0.04 * math.pi
+    assert rotation_update([0.0], 0b1, 0b1, False)[0] == THETA_MIN
+    assert rotation_update([math.pi], 0b0, 0b0, False)[0] == THETA_MAX
+    assert rotation_update([1.0], 0b0, 0b0, False)[0] == 1.0 + 0.04 * math.pi
 
 
 def test_noise_spec_validation():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,15 @@ def test_parse_missing_header():
         parse_instance("DIMENSION : 3\nNODE_COORD_SECTION\n1 0 0\n2 1 1\n3 2 2\n")
     with pytest.raises(MalformedHeader):
         parse_instance("EDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n")
+
+
+@pytest.mark.parametrize("bad", list(',"/\\<>&'))
+def test_parse_refuses_names_that_break_outputs(bad):
+    # The name lands in a CSV field, a plot's file name and the SVG text.
+    with pytest.raises(MalformedHeader, match=re.escape(f"contains {bad!r}")):
+        parse_instance(MINIMAL_3.replace("NAME : tri", f"NAME : tri{bad}3"))
+    assert parse_instance(MINIMAL_3.replace("NAME : tri", "NAME : tri-3 (v1.2)")).name == \
+        "tri-3 (v1.2)"
 
 
 def test_parse_berlin52(data_dir):
