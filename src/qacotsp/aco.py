@@ -1,40 +1,52 @@
 """Classical Ant Colony System baseline for TSP subproblems.
 
-Decision rule: with probability q0 an ant moves greedily to the candidate
-maximizing tau^alpha * eta^beta, otherwise it samples the candidate from the
-distribution proportional to the same weights.  After each iteration the
-pheromone matrix evaporates and the global-best tour deposits Q/length on its
-edges.
+Decision rule (Dorigo & Gambardella 1997): with probability q0 an ant moves
+greedily to the candidate maximizing tau^alpha * eta^beta, otherwise it
+samples the candidate from the distribution proportional to the same
+weights.  After each iteration the pheromone matrix evaporates and the
+global-best tour deposits Q/length on its edges.
 
 The weights W = tau^alpha * eta^beta change only when the pheromone does, so
-``aco_solve`` computes eta^beta once per solve and W once per iteration, and
-each ant walks W with a mask of the cities it may still visit, one
-``next_node`` call on its masked row per move.  This equals evaluating the
-rule afresh at every step on the gathered candidates, bit for bit:
+``aco_solve`` computes eta^beta once per solve, W once per iteration, and a
+ranking of W's rows once per iteration.  Each ant keeps a bytearray of the
+cities it may still visit and makes one ``next_node`` call per move.  This
+equals evaluating the rule afresh at every step on the gathered candidates,
+bit for bit:
 
 * numpy's power and product work element by element, so W[r, j] is the
   same double whether it is computed in the full matrix or in a gathered
   slice;
-* a greedy step takes ``np.argmax`` of the current row with the visited
-  cities set to -inf.  The candidates keep their ascending order and every
-  candidate weight beats -inf, so this is the city ``np.argmax`` picks from
-  the gathered candidates, lowest index first on ties;
-* an exploration step gathers the candidates' weights through the mask, in
-  ascending order, and runs the same numpy sum, cumulative sum and
-  ``searchsorted``;
-* the random draws are unchanged: ``rng.integers(k)`` for the start, then,
-  per step with two or more candidates, one ``rng.random()`` for the q0
-  gate and one more on exploration.
+* the rule's greedy pick is ``np.argmax`` over the candidates, lowest index
+  first on ties.  ``_rank`` lists, per row, the cities of its top
+  t = min(GREEDY_TOP, k) whose weight is strictly above the row's bound, its
+  t-th largest weight, ordered by weight and then index.  Every city above
+  the bound is in that list, in argmax order, so the first candidate found
+  in it is the argmax;
+* when no listed city is a candidate, which covers a tie at the bound, the
+  move takes ``np.argmax`` of the row with the visited cities at -inf.  A
+  row that holds a NaN gets an infinite bound, so it always takes this
+  fallback: ``np.argmax`` picks the first NaN, which a ranking cannot place;
+* an exploration step gathers the candidates' weights in ascending order
+  and runs the same numpy sum, cumulative sum and ``searchsorted``;
+* the random draws are unchanged.  ``rng.integers(k)`` draws the start,
+  then each move with two or more candidates reads one uniform for the q0
+  gate and one more on exploration.  A generator's scalar ``random()``
+  calls equal one ``random(m)`` call, and each ant's generator, built from
+  (seed, iteration, ant), is dropped after its walk, so ``_construct``
+  draws all 2 * (k - 2) uniforms the walk may need at once and leaves the
+  unused ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tsplib import (
     Instance,
+    InvalidTour,
     MetricMode,
     Tour,
     cycle_length,
@@ -43,6 +55,9 @@ from .tsplib import (
 
 PHEROMONE_FLOOR = 1e-12
 ZERO_DIST_GUARD = 1e-9
+# Cities ranked per row of W: a full sort of the rows would cost more than
+# the greedy moves it saves on 1000 cities.
+GREEDY_TOP = 8
 
 
 class EmptyAllowedSet(ValueError):
@@ -67,6 +82,12 @@ class AcoParams:
             raise ValueError("rho must be in [0, 1]")
         if self.n_ants < 1:
             raise ValueError("n_ants must be >= 1")
+        for name in ("alpha", "beta", "tau0", "deposit"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("tau0", "deposit"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def init_pheromone(k: int, tau0: float = 1.0) -> np.ndarray:
@@ -90,44 +111,76 @@ def _weights(tau: np.ndarray, eta_beta: np.ndarray, alpha: float) -> np.ndarray:
     return W
 
 
-def next_node(row: np.ndarray, avail: np.ndarray, left: int, q0: float, rng) -> int:
-    """One move of the pseudo-random-proportional rule; returns an index into ``row``.
+def _rank(W: np.ndarray) -> list:
+    """Per row of ``W``, the cities a greedy move may take without a scan of the row.
 
-    ``avail`` marks the ``left`` candidates among the entries of the weight
-    row ``row``, whose other entries are -inf.  Greedy argmax ties break
-    toward the lowest index.  A single candidate is taken without a random
-    draw; no candidate raises ``EmptyAllowedSet``.
+    Row r lists, best first, the cities among its top t = min(GREEDY_TOP, k)
+    whose weight is strictly above the row's bound: its t-th largest weight,
+    or +inf for a row that holds a NaN.  Equal weights keep the lowest index
+    first, as ``np.argmax`` does.
+    """
+    k = W.shape[0]
+    t = min(GREEDY_TOP, k)
+    rows = np.arange(k)[:, None]
+    top = np.argpartition(-W, t - 1, axis=1)[:, :t]
+    vals = W[rows, top]
+    order = np.lexsort((top, -vals), axis=1)
+    top = top[rows, order]
+    vals = vals[rows, order]
+    bound = np.where(np.isnan(W).any(axis=1), np.inf, vals[:, -1])
+    above = (vals > bound[:, None]).sum(axis=1)
+    return [row[:n] for row, n in zip(top.tolist(), above.tolist())]
+
+
+def next_node(W: np.ndarray, ranked: list, current: int, free: bytearray, left: int,
+              q0: float, draws) -> int:
+    """One move of the pseudo-random-proportional rule from city ``current``.
+
+    ``free`` holds a 1 for each of the ``left`` cities still to visit,
+    ``ranked`` is ``_rank(W)`` and ``draws`` yields the ant's uniforms.  A
+    greedy move takes the first free city of ``ranked[current]``, or else
+    the argmax of the row over the free cities, lowest index first on ties.
+    A single candidate is taken without a draw; no candidate raises
+    ``EmptyAllowedSet``.
     """
     if left < 1:
         raise EmptyAllowedSet(f"no candidate moves: {left} cities left")
     if left == 1:
-        return int(avail.argmax())
-    if rng.random() <= q0:
-        return int(row.argmax())
-    gathered = row[avail]
+        return free.index(1)
+    if next(draws) <= q0:
+        for city in ranked[current]:
+            if free[city]:
+                return city
+        avail = np.frombuffer(free, dtype=bool)
+        return int(np.where(avail, W[current], -np.inf).argmax())
+    avail = np.frombuffer(free, dtype=bool)
+    gathered = W[current][avail]
     total = gathered.sum()
     if total <= 0.0:
         gathered = np.ones_like(gathered)
         total = gathered.sum()
-    cdf = np.cumsum(gathered)
-    pick = int(np.searchsorted(cdf, rng.random() * total, side="right"))
-    return int(np.flatnonzero(avail)[min(pick, left - 1)])
+    cdf = gathered.cumsum()
+    pick = int(cdf.searchsorted(next(draws) * total, side="right"))
+    return int(avail.nonzero()[0][min(pick, left - 1)])
 
 
-def _construct(W: np.ndarray, q0: float, rng) -> Tour:
-    """One ant's walk over the weight matrix ``W``."""
+def _construct(W: np.ndarray, ranked: list, q0: float, rng) -> tuple:
+    """One ant's visiting order over the weight matrix ``W``, whose ranking is ``ranked``.
+
+    It takes a fixed number of draws: ``rng.integers(k)`` for the start,
+    then one ``rng.random(2 * (k - 2))`` for the k - 2 moves with two or
+    more candidates, each of which reads at most two of those uniforms.
+    """
     k = W.shape[0]
     current = int(rng.integers(k))
+    draws = iter(rng.random(2 * (k - 2)).tolist())
+    free = bytearray(b"\x01") * k
     order = [current]
-    avail = np.ones(k, dtype=bool)
-    masked = W.copy()  # W with the visited cities' columns at -inf
-    columns = masked.T
     for left in range(k - 1, 0, -1):
-        avail[current] = False
-        columns[current].fill(-np.inf)
-        current = next_node(masked[current], avail, left, q0, rng)
+        free[current] = 0
+        current = next_node(W, ranked, current, free, left, q0, draws)
         order.append(current)
-    return Tour(tuple(order))
+    return tuple(order)
 
 
 def update_pheromone(tau: np.ndarray, best: Tour, length: float, params: AcoParams) -> np.ndarray:
@@ -135,11 +188,10 @@ def update_pheromone(tau: np.ndarray, best: Tour, length: float, params: AcoPara
     if length <= 0.0:
         raise ValueError("tour length must be positive for a deposit")
     out = (1.0 - params.rho) * tau
-    amount = params.deposit / length
-    order = best.order
-    for a, b in zip(order, order[1:] + order[:1]):
-        out[a, b] += amount
-        out[b, a] += amount
+    order = list(best.order)
+    after = order[1:] + order[:1]
+    # unbuffered, so the two deposits on each entry of a 2-city tour add in turn
+    np.add.at(out, (order + after, after + order), params.deposit / length)
     out = np.maximum(out, PHEROMONE_FLOOR)
     np.fill_diagonal(out, 0.0)
     return out
@@ -165,6 +217,8 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
         raise ValueError("seed words must be non-negative")
     if params.iterations < (0 if initial_tour is not None else 1):
         raise ValueError("iterations must be >= 1, or >= 0 with an initial tour")
+    if initial_tour is not None and len(initial_tour) != k:
+        raise InvalidTour(f"initial tour has {len(initial_tour)} cities, not {k}")
     if D is None:
         D = distance_matrix(inst, metric, indices)
     eta_beta = heuristic_matrix(D) ** params.beta
@@ -179,12 +233,13 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
     history = []
     for it in range(1, params.iterations + 1):
         W = _weights(tau, eta_beta, params.alpha)
+        ranked = _rank(W)
         for ant in range(params.n_ants):
             rng = np.random.default_rng(seed_words + [it, ant])
-            tour = _construct(W, params.q0, rng)
-            length = cycle_length(D, tour.order)
+            order = _construct(W, ranked, params.q0, rng)
+            length = cycle_length(D, order)
             if length < best_len:
-                best_tour, best_len = tour, length
+                best_tour, best_len = Tour(order), length
         tau = update_pheromone(tau, best_tour, best_len, params)
         history.append(best_len)
 

@@ -1,13 +1,18 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qacotsp import aco
 from qacotsp.aco import (
     AcoParams,
     EmptyAllowedSet,
     _construct,
+    _rank,
     _weights,
     aco_solve,
     heuristic_matrix,
@@ -17,6 +22,7 @@ from qacotsp.aco import (
 )
 from qacotsp.tsplib import (
     Instance,
+    InvalidTour,
     MetricMode,
     Tour,
     distance_matrix,
@@ -33,16 +39,17 @@ def square_instance():
 def construct(inst, indices, tau, params, rng):
     """One ant's tour as ``aco_solve`` builds it, in local 0..k-1 positions."""
     eta = heuristic_matrix(distance_matrix(inst, MetricMode.CANONICAL, indices))
-    return _construct(_weights(tau, eta ** params.beta, params.alpha), params.q0, rng)
+    W = _weights(tau, eta ** params.beta, params.alpha)
+    return Tour(_construct(W, _rank(W), params.q0, rng))
 
 
-def step(r, allowed, tau, eta, params, rng):
-    """``next_node`` on the masked row ``_construct`` walks from node ``r``."""
-    avail = np.zeros(len(tau), dtype=bool)
-    avail[allowed] = True
-    row = _weights(tau[r], eta[r] ** params.beta, params.alpha)
-    row[~avail] = -np.inf
-    return next_node(row, avail, int(avail.sum()), params.q0, rng)
+def step(r, allowed, tau, eta, params, draws):
+    """``next_node`` from node ``r`` with the cities ``allowed`` still free."""
+    W = _weights(tau, eta ** params.beta, params.alpha)
+    free = bytearray(len(tau))
+    for city in allowed:
+        free[city] = 1
+    return next_node(W, _rank(W), r, free, len(allowed), params.q0, draws)
 
 
 def brute_force_cycle(coords):
@@ -62,26 +69,51 @@ def brute_force_cycle(coords):
 def test_next_node_single_candidate():
     tau = init_pheromone(3)
     eta = heuristic_matrix(np.ones((3, 3)))
-    rng = np.random.default_rng(0)
+    draws = iter([0.25])
     for _ in range(10):
-        assert step(0, [2], tau, eta, AcoParams(), rng) == 2
-    assert rng.random() == np.random.default_rng(0).random()  # no draw was taken
+        assert step(0, [2], tau, eta, AcoParams(), draws) == 2
+    assert next(draws) == 0.25  # no draw was taken
 
 
 def test_next_node_empty_allowed():
     tau = init_pheromone(3)
     eta = heuristic_matrix(np.ones((3, 3)))
     with pytest.raises(EmptyAllowedSet):
-        step(0, [], tau, eta, AcoParams(), np.random.default_rng(0))
+        step(0, [], tau, eta, AcoParams(), iter([0.25]))
 
 
 def test_next_node_greedy_when_q0_one():
     tau = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     eta = np.ones((3, 3))
     params = AcoParams(alpha=1.0, beta=0.0, q0=1.0)
-    rng = np.random.default_rng(1)
+    draws = iter(np.random.default_rng(1).random, None)
     for _ in range(50):
-        assert step(0, [1, 2], tau, eta, params, rng) == 1
+        assert step(0, [1, 2], tau, eta, params, draws) == 1
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(k=st.integers(2, 24), t=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_ranked_greedy_pick_is_the_masked_argmax(k, t, seed):
+    # Integer weights tie often; zero rows, +inf entries and NaN rows take
+    # the fallback, and so does a ranking whose cities are all visited.
+    rng = np.random.default_rng(seed)
+    W = rng.integers(0, 4, size=(k, k)).astype(float)
+    W[rng.random(k) < 0.2] = 0.0
+    W[rng.random((k, k)) < 0.05] = np.inf
+    for r in np.flatnonzero(rng.random(k) < 0.2):
+        W[r, rng.integers(k)] = np.nan
+    with mock.patch.object(aco, "GREEDY_TOP", t):
+        ranked = _rank(W)
+    for _ in range(10):
+        current = int(rng.integers(k))
+        avail = rng.random(k) < rng.random()
+        avail[rng.integers(k)] = True
+        masked = W[current].copy()
+        masked[~avail] = -np.inf
+        draws = iter([0.0])
+        free = bytearray(avail.tobytes())
+        assert next_node(W, ranked, current, free, int(avail.sum()), 1.0, draws) == \
+            int(np.argmax(masked))
 
 
 def test_exploration_probabilities_three_to_one():
@@ -89,9 +121,9 @@ def test_exploration_probabilities_three_to_one():
     tau = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     eta = np.ones((3, 3))
     params = AcoParams(alpha=1.0, beta=0.0, q0=0.0)
-    rng = np.random.default_rng(2)
+    draws = iter(np.random.default_rng(2).random, None)
     shots = 20_000
-    hits = sum(step(0, [1, 2], tau, eta, params, rng) == 1 for _ in range(shots))
+    hits = sum(step(0, [1, 2], tau, eta, params, draws) == 1 for _ in range(shots))
     assert abs(hits / shots - 0.75) <= 4 * math.sqrt(0.75 * 0.25 / shots)
 
 
@@ -190,3 +222,22 @@ def test_aco_seven_cities_matches_brute_force():
         if length <= optimum * (1.0 + 1e-9):
             wins += 1
     assert wins >= 90
+
+
+@pytest.mark.parametrize("k", [2, 76, 1000, 2 ** 33])
+def test_random_calls_after_the_start_draw_are_one_call(k):
+    # _construct draws the start city, then all its uniforms in one call.
+    for seed in range(50):
+        a, b = np.random.default_rng([seed, 1, 2]), np.random.default_rng([seed, 1, 2])
+        assert a.integers(k) == b.integers(k)
+        m = 1 + seed % 9
+        assert [a.random() for _ in range(m)] == b.random(m).tolist()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_initial_tour_must_cover_the_cities():
+    # A partial cycle is shorter than any full tour, so it would win.
+    inst = gen_random_instance(6, 0, 100.0)
+    for start in (Tour((0, 1, 2)), Tour(tuple(range(7)))):
+        with pytest.raises(InvalidTour):
+            aco_solve(inst, range(6), AcoParams(iterations=2), initial_tour=start)

@@ -262,22 +262,64 @@ def test_smallest_instances(k):
 def test_coincident_points():
     # distances of 0 hit ZERO_DIST_GUARD: eta = 1e9 on those edges
     coords = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [3.0, 4.0],
-                       [10.0, 0.0], [0.0, 0.0], [7.0, 7.0]])
-    inst = Instance("coincident", len(coords), "EUC_2D", coords)
-    assert np.min(distance_matrix(inst, PLAIN) + np.eye(len(coords))) < ZERO_DIST_GUARD
-    for params in (AcoParams(iterations=30), AcoParams(iterations=30, q0=0.0, beta=3.0)):
-        for seed in range(4):
+                       [10.0, 0.0], [0.0, 0.0], [7.0, 7.0], [1.0, 9.0], [1.0, 9.0],
+                       [5.0, 2.0], [8.0, 3.0], [2.0, 6.0], [0.0, 0.0]])
+    # alpha = beta = 40 with tau0 = 1e-12 makes tau^alpha 0 and eta^beta inf
+    # on the coincident edges, so 0 * inf puts NaN weights into W; with more
+    # than GREEDY_TOP cities a NaN falls outside a row's ranking
+    for n in (8, 14):
+        inst = Instance("coincident", n, "EUC_2D", coords[:n])
+        assert np.min(distance_matrix(inst, PLAIN) + np.eye(n)) < ZERO_DIST_GUARD
+        for params in (AcoParams(iterations=30), AcoParams(iterations=30, q0=0.0, beta=3.0),
+                       AcoParams(alpha=40.0, beta=40.0, tau0=1e-12, iterations=10)):
+            for seed in range(4):
+                assert_same_solves(inst, range(n), params=params, seed=seed, metric=PLAIN)
+
+
+@pytest.mark.parametrize("top", [aco.GREEDY_TOP, 2])
+def test_grid_ties_canonical(top, monkeypatch):
+    # CANONICAL rounds lattice distances to integers, so many weights tie;
+    # a ranking of 2 sends many greedy moves to the boundary and fallback.
+    monkeypatch.setattr(aco, "GREEDY_TOP", top)
+    coords = np.array([(10.0 * x, 10.0 * y) for x in range(9) for y in range(8)])
+    inst = Instance("grid", len(coords), "EUC_2D", coords)
+    for params in (AcoParams(iterations=15), AcoParams(iterations=15, q0=0.5, alpha=1.0)):
+        for seed in range(2):
             assert_same_solves(inst, range(inst.dimension), params=params, seed=seed,
-                               metric=PLAIN)
+                               metric=CANONICAL)
 
 
-def live_next_node(r, allowed, tau, eta, params, rng):
-    """``aco.next_node`` on the masked row ``_construct`` walks from node ``r``."""
-    avail = np.zeros(len(tau), dtype=bool)
-    avail[np.asarray(allowed, dtype=np.intp)] = True
-    row = aco._weights(tau[r], eta[r] ** params.beta, params.alpha)
-    row[~avail] = -np.inf
-    return aco.next_node(row, avail, int(avail.sum()), params.q0, rng)
+def test_update_pheromone_matches_reference():
+    rng = np.random.default_rng(21)
+    for k in range(2, 13):
+        for rho in (0.0, 0.1, 1.0):
+            for _ in range(5):
+                tau = np.maximum(rng.uniform(0.0, 3.0, size=(k, k)), PHEROMONE_FLOOR)
+                best = Tour(tuple(int(v) for v in rng.permutation(k)))
+                params = AcoParams(rho=rho, deposit=float(rng.uniform(0.5, 4.0)))
+                length = float(rng.uniform(1.0, 500.0))
+                expected = update_pheromone(tau, best, length, params)
+                got = aco.update_pheromone(tau, best, length, params)
+                assert got.tobytes() == expected.tobytes(), (k, rho, best)
+
+
+class ScriptedRng:
+    """Stands in for a Generator whose ``random()`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def live_next_node(r, allowed, tau, eta, params, draws):
+    """``aco.next_node`` from node ``r`` with the cities ``allowed`` still free."""
+    W = aco._weights(tau, eta ** params.beta, params.alpha)
+    free = bytearray(len(tau))
+    for city in allowed:
+        free[city] = 1
+    return aco.next_node(W, aco._rank(W), r, free, sum(free), params.q0, draws)
 
 
 def test_next_node_matches_reference():
@@ -289,23 +331,14 @@ def test_next_node_matches_reference():
         params = AcoParams(alpha=float(rng.uniform(0, 4)), beta=float(rng.uniform(0, 4)),
                            q0=float(rng.choice([0.0, 0.5, 0.9, 1.0])))
         allowed = [int(v) for v in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
-        a, b = np.random.default_rng([trial]), np.random.default_rng([trial])
+        values = np.random.default_rng([trial]).random(11).tolist()
+        a, b = iter(values), ScriptedRng(values)
         for _ in range(5):
             assert live_next_node(0, allowed, tau, eta, params, a) == \
                 next_node(0, allowed, tau, eta, params, b)
-        assert a.random() == b.random()  # the same number of draws was taken
+        assert next(a) == b.random()  # the same number of draws was taken
     with pytest.raises(EmptyAllowedSet):
-        live_next_node(0, [], tau, eta, AcoParams(), rng)
-
-
-class ScriptedRng:
-    """Stands in for a Generator whose ``random()`` returns the given values in turn."""
-
-    def __init__(self, values):
-        self._values = iter(values)
-
-    def random(self):
-        return next(self._values)
+        live_next_node(0, [], tau, eta, AcoParams(), iter(values))
 
 
 def test_exploration_boundaries_match_reference():
@@ -332,7 +365,7 @@ def test_exploration_boundaries_match_reference():
                 draws.add(float(u))
             u = np.nextafter(u, 1.0)
     for u in sorted(draws):
-        assert live_next_node(0, allowed, tau, eta, params, ScriptedRng([0.9, u])) == \
+        assert live_next_node(0, allowed, tau, eta, params, iter([0.9, u])) == \
             next_node(0, allowed, tau, eta, params, ScriptedRng([0.9, u])), u
 
 
@@ -345,8 +378,8 @@ def test_construct_tour_matches_reference(metric, data_dir):
         params = AcoParams(q0=(0.0, 0.9, 1.0)[seed % 3])
         eta = aco.heuristic_matrix(distance_matrix(inst, metric, indices))
         W = aco._weights(tau, eta ** params.beta, params.alpha)
-        assert aco._construct(W, params.q0, np.random.default_rng(seed)) == \
-            construct_tour(inst, indices, tau, params, np.random.default_rng(seed), metric)
+        assert aco._construct(W, aco._rank(W), params.q0, np.random.default_rng(seed)) == \
+            construct_tour(inst, indices, tau, params, np.random.default_rng(seed), metric).order
 
 
 @pytest.mark.parametrize("refinement", [Refinement.TWO_OPT, Refinement.ACO_POLISH])
@@ -446,7 +479,7 @@ def test_two_opt_on_grid_ties():
 
 
 @settings(max_examples=15, deadline=None, database=None)
-@given(n=st.integers(2, 12), inst_seed=st.integers(0, 2 ** 31 - 1),
+@given(n=st.integers(2, 40), inst_seed=st.integers(0, 2 ** 31 - 1),
        seed=st.integers(0, 2 ** 63 - 1), q0=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
        alpha=st.floats(0.0, 5.0), beta=st.floats(0.0, 5.0), rho=st.floats(0.0, 1.0),
        n_ants=st.integers(1, 4))

@@ -399,10 +399,19 @@ def test_cli_bad_config_value_exits_2_before_writing(solver, config, key, tmp_pa
     (["solve"], {"hybrid": {"kmeans_restarts": 0}}, "kmeans_restarts"),
     (["solve"], {"qaco_params": {"stall_window": -1}}, "stall_window"),
     (["solve"], {"qaco_params": {"convergence_window": -1}}, "convergence_window"),
+    (["solve", "--solver", "aco"], {"aco_params": {"alpha": float("nan")}}, "alpha"),
+    (["solve", "--solver", "aco"], {"aco_params": {"beta": float("inf")}}, "beta"),
+    (["solve", "--solver", "clustered-aco"], {"aco_params": {"tau0": float("-inf")}},
+     "tau0"),
+    (["compare"], {"aco_params": {"deposit": float("nan")}}, "deposit"),
+    (["solve", "--solver", "aco"], {"aco_params": {"tau0": -1.0}}, "tau0"),
+    (["solve", "--solver", "aco"], {"aco_params": {"deposit": -0.5}}, "deposit"),
 ], ids=["two-opt-passes-negative", "polish-iterations-negative", "leaf-max-5-solve",
         "leaf-max-5-compare", "leaf-max-5-noise-sweep", "leaf-max-1",
         "leaf-max-1-clustered-aco", "branching-1", "kmeans-restarts-0",
-        "stall-window-negative", "convergence-window-negative"])
+        "stall-window-negative", "convergence-window-negative", "aco-alpha-nan",
+        "aco-beta-inf", "aco-tau0-minus-inf", "aco-deposit-nan-compare",
+        "aco-tau0-negative", "aco-deposit-negative"])
 def test_cli_bad_range_exits_2_before_any_solve(command, config, key, tmp_path, capsys,
                                                 monkeypatch):
     def no_solve(*args, **kwargs):

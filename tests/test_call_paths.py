@@ -46,3 +46,5 @@ def test_solvers_call_the_traced_operators(monkeypatch):
                     monkeypatch.setattr(mod, attr, wrapper)
     assert solve_both() == expected
     assert all(calls.values()), calls
+    # one aco.next_node call per move: iterations x ants x (k - 1)
+    assert calls["aco.next_node"] == 5 * 6 * 7
