@@ -74,17 +74,7 @@ class RunRecord:
         )
 
     def to_json(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "solver": self.solver,
-            "seed": self.seed,
-            "noise_kind": self.noise_kind,
-            "noise_rate": self.noise_rate,
-            "length": round(self.length, 6),
-            "iterations": self.iterations,
-            "wall_ms": self.wall_ms,
-            "tour": list(self.tour),
-        }
+        return {**dataclasses.asdict(self), "length": round(self.length, 6)}
 
 
 def resolve_instance(spec: str) -> Instance:

@@ -12,34 +12,29 @@ best stalls, a measured ancilla qubit gates a one-bit mutation.
 Inside the solver a measurement is an int code of 2k bits, not a string.
 Qubit 0 is the most significant bit, as in ``qsim``, so position i's city
 sits in bits 2(k-1-i)+1 and 2(k-1-i) and the code of tour (2, 0, 1) is
-0b100001.  A per-solve table maps each of the 4^k codes to its ``Tour``, or
-to None when the code repeats a city or names one >= k, and the k! cycle
-lengths are computed once per solve.  The two operators
-``rotation_update`` and ``maybe_mutate`` take int codes, and the solver
-calls them by name; ``rotation_update`` takes and returns the angles as a
-list.  The bitstring helpers (``encode_tour``, ``decode_bits``,
-``hamming``, ``repair_infeasible``) convert at their boundary and call the
-same code.  ``SolutionPool`` entries keep bitstrings for every caller; the
-solver mirrors their int codes in a list and a set it rebuilds when the
-pool changes.
+0b100001.  A table built once per k maps each of the 4^k codes to its
+``Tour``, or to None when the code repeats a city or names one >= k; the k!
+cycle lengths are computed once per solve.  The solver calls the int-code
+operators ``rotation_update``, ``maybe_mutate`` and ``_repair`` by name; the
+bitstring helpers (``encode_tour``, ``decode_bits``, ``hamming``,
+``repair_infeasible``) convert at their boundary and call the same code.
+``SolutionPool`` alone keeps the pool: the entries with their bitstrings,
+their int codes and the repair caches.  The solver adds to it and reads it,
+and formats a bitstring only for a code that is not yet pooled.
 
 One iteration of ``qaco_solve`` draws, with m = ``qsim.draws_per_qubit``
-(1 noiseless, 3 under noise):
-
-* per ant, one ``rng.random(2k * m)`` call for the measurement, then, if the
-  code is infeasible, the repair's ``rng.permutation(k)`` (iterations up to
-  ``RANDOM_FEASIBLE_WINDOW``, or while the pool is empty) or one
-  ``rng.random()`` (the Hamming rule);
-* once stalled, per ant, one ``rng.random(1 + m)`` call for the mutation
-  angle and the ancilla's measurement, then ``rng.integers(2k)`` only when
-  the ancilla reads 1.
-
-The rotation draws nothing.  The repair distribution of each measured code
-is kept until the pool changes.
+(1 noiseless, 3 under noise), per ant one ``rng.random(2k * m)`` call for
+the measurement, then, if the code is infeasible, the repair's
+``rng.permutation(k)`` (iterations up to ``RANDOM_FEASIBLE_WINDOW``, or while
+the pool is empty) or one ``rng.random()`` (the Hamming rule).  Once stalled
+it draws, per ant, one ``rng.random(1 + m)`` call for the mutation angle and
+the ancilla's measurement, then ``rng.integers(2k)`` only when the ancilla
+reads 1.  The rotation draws nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -98,6 +93,10 @@ class LengthMismatch(ValueError):
     pass
 
 
+class EncodingMismatch(ValueError):
+    """Pool bits that are not the 2-bit encoding of the pooled tour."""
+
+
 class RepairError(ValueError):
     """The Hamming-repair probabilities do not sum to 1.
 
@@ -133,22 +132,39 @@ class PoolEntry:
 
 @dataclass
 class SolutionPool:
-    """Bounded archive of the best feasible tours, ascending by length."""
+    """Bounded archive of the best feasible tours, ascending by length.
+
+    ``add`` dedupes on the int code (``codes`` keeps them in entry order),
+    raises ``EncodingMismatch`` unless ``bits`` is ``encode_tour(tour, len(tour))``,
+    and clears ``code_cdfs`` whenever it changes the pool.
+    """
 
     capacity: int = 10
-    entries: list = field(default_factory=list)
+    entries: list = field(default_factory=list, init=False)
+    codes: list = field(default_factory=list, init=False)
+    code_cdfs: dict = field(default_factory=dict, init=False, repr=False)
+    cdfs: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.capacity < 1:
+            raise ValueError(f"pool capacity must be >= 1, got {self.capacity}")
 
     def add(self, tour: Tour, bits: str, length: float) -> bool:
-        entries = self.entries
-        for e in entries:
-            if e.bits == bits:
-                return False
+        code = _encode(tour.order)
+        if len(tour) > MAX_CITIES or bits != format(code, f"0{2 * len(tour)}b"):
+            raise EncodingMismatch(f"{bits!r} does not encode tour {tour.order}")
+        entries, codes = self.entries, self.codes
+        if code in codes:
+            return False
         if len(entries) >= self.capacity:
             if length >= entries[-1].length:
                 return False
             entries.pop()
+            codes.pop()
         pos = bisect_right([e.length for e in entries], length)
         entries.insert(pos, PoolEntry(tour, bits, length))
+        codes.insert(pos, code)
+        self.code_cdfs.clear()
         return True
 
 
@@ -169,12 +185,13 @@ def _encode(order) -> int:
     return code
 
 
-def _decode_table(k: int) -> list:
+@functools.cache
+def _decode_table(k: int) -> tuple:
     """The ``Tour`` of each of the 4^k codes of a k-city register, or None."""
     table = [None] * (1 << (2 * k))
     for perm in itertools.permutations(range(k)):
         table[_encode(perm)] = Tour(perm)
-    return table
+    return tuple(table)
 
 
 def encode_tour(tour: Tour, k: int) -> str:
@@ -215,26 +232,25 @@ def _repair_cdf(distances) -> list:
     return np.cumsum(probs).tolist()
 
 
-def _repair(code: int, pool_codes: list, iteration: int, k: int, rng: np.random.Generator,
-            cdfs: dict, code_cdfs: dict) -> int:
+def _repair(code: int, pool: SolutionPool, iteration: int, k: int, rng: np.random.Generator) -> int:
     """Code of the feasible tour that replaces the infeasible measurement ``code``.
 
-    ``code_cdfs`` caches the ``_repair_cdf`` of each measured code against
-    ``pool_codes``, so the caller clears it whenever ``pool_codes`` changes.
-    Behind it ``cdfs`` caches them by distance tuple; a solve sees few
-    distinct tuples.  ``bisect_right`` is ``searchsorted(side="right")``.
+    The ``_repair_cdf`` of ``code`` against ``pool.codes`` is cached in the
+    pool per code (``code_cdfs``) and per distance tuple (``cdfs``).
+    ``bisect_right`` is ``searchsorted(side="right")``.
     """
-    if iteration <= RANDOM_FEASIBLE_WINDOW or not pool_codes:
+    codes = pool.codes
+    if iteration <= RANDOM_FEASIBLE_WINDOW or not codes:
         return _encode(rng.permutation(k).tolist())
-    cdf = code_cdfs.get(code)
+    cdf = pool.code_cdfs.get(code)
     if cdf is None:
-        d = tuple([(code ^ c).bit_count() for c in pool_codes])
-        cdf = cdfs.get(d)
+        d = tuple([(code ^ c).bit_count() for c in codes])
+        cdf = pool.cdfs.get(d)
         if cdf is None:
-            cdf = cdfs[d] = _repair_cdf(d)
-        code_cdfs[code] = cdf
+            cdf = pool.cdfs[d] = _repair_cdf(d)
+        pool.code_cdfs[code] = cdf
     pick = bisect_right(cdf, rng.random() * cdf[-1])
-    return pool_codes[min(pick, len(pool_codes) - 1)]
+    return codes[min(pick, len(codes) - 1)]
 
 
 def repair_infeasible(bits: str, pool: SolutionPool, iteration: int, k: int,
@@ -246,15 +262,15 @@ def repair_infeasible(bits: str, pool: SolutionPool, iteration: int, k: int,
     i is drawn with probability  p_i = (d_i * sum_j 1/d_j)^-1  where d_i is
     the Hamming distance between ``bits`` and the entry's encoding; an
     infeasible bitstring never equals a feasible encoding, so every d_i >= 1.
-    Raises ``RepairError`` when the probabilities do not sum to 1 within
-    1e-12, and ``TooManyCities`` for k > MAX_CITIES, which the 2-bit encoding
-    cannot hold.
+    Raises ``RepairError`` if the probabilities do not sum to 1 within 1e-12,
+    ``TooManyCities`` for k > MAX_CITIES and ``LengthMismatch`` unless
+    ``bits`` has 2k bits and every pooled tour k cities.
     """
     if k > MAX_CITIES:
         raise TooManyCities(f"2-bit encoding holds at most {MAX_CITIES} cities")
-    pool_codes = [int(e.bits, 2) for e in pool.entries]
-    code = _repair(int(bits, 2), pool_codes, iteration, k, rng, {}, {})
-    return _decode_table(k)[code]
+    if len(bits) != 2 * k or any(len(e.tour) != k for e in pool.entries):
+        raise LengthMismatch(f"{bits!r} and every pooled tour must be of {k} cities")
+    return _decode_table(k)[_repair(int(bits, 2), pool, iteration, k, rng)]
 
 
 def rotation_update(thetas: list, x: int, b: int, worse: bool) -> list:
@@ -334,12 +350,8 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
     n_bits = 2 * k
     tours = _decode_table(k)
     lengths = [None if t is None else cycle_length(D, t.order) for t in tours]
-    bitstrings = [None if t is None else format(c, f"0{n_bits}b") for c, t in enumerate(tours)]
     thetas = [math.pi / 2.0] * n_bits
     pool = SolutionPool(params.pool_capacity)
-    pool_codes = []  # int codes of the pool entries, in pool order
-    pool_set = set()
-    cdfs, code_cdfs = {}, {}
     random = rng.random
     sample_draws = n_bits * draws_per_qubit(noise)
     best_code = None
@@ -358,14 +370,11 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
         for ant in range(params.n_ants):
             code = code_from_draws(random(sample_draws).tolist(), p1, q1, noise)
             if tours[code] is None:
-                code = _repair(code, pool_codes, it, k, rng, cdfs, code_cdfs)
+                code = _repair(code, pool, it, k, rng)
                 repairs += 1
             length = lengths[code]
-            # A code already pooled is refused by pool.add.
-            if code not in pool_set and pool.add(tours[code], bitstrings[code], length):
-                pool_codes = [int(e.bits, 2) for e in pool.entries]
-                pool_set = set(pool_codes)
-                code_cdfs.clear()
+            if code not in pool.codes:  # else pool.add refuses it; skip the format
+                pool.add(tours[code], format(code, f"0{n_bits}b"), length)
             codes.append(code)
             if length < iter_len:
                 iter_len, iter_idx = length, ant

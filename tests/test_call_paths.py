@@ -3,17 +3,21 @@
 ``perfbench/tracer.py`` measures a layer by rebinding every ``qacotsp``
 module attribute that holds a traced function.  A solver that ran a private
 copy of an operator would leave that layer at 0 calls in every trace; this
-test fails instead.
+test fails instead.  The repair kernel ``qaco._repair`` is counted the
+same way: the solver calls it once per repaired measurement, and the
+bitstring boundary ``repair_infeasible`` once per call.
 """
 
 import functools
 import importlib
 import pkgutil
 
+import numpy as np
+
 import qacotsp
 from qacotsp import aco, qaco
 from qacotsp.aco import AcoParams
-from qacotsp.tsplib import MetricMode, gen_random_instance
+from qacotsp.tsplib import MetricMode, Tour, gen_random_instance
 
 OPERATORS = ("qaco.rotation_update", "qaco.maybe_mutate", "aco.next_node")
 
@@ -26,12 +30,12 @@ def solve_both():
                           metric=MetricMode.PLAIN))
 
 
-def test_solvers_call_the_traced_operators(monkeypatch):
-    expected = solve_both()
-    calls = dict.fromkeys(OPERATORS, 0)
+def wrap_calls(monkeypatch, targets) -> dict:
+    """Count the calls of each ``module.name`` in ``targets``, wherever bound."""
+    calls = dict.fromkeys(targets, 0)
     modules = [importlib.import_module(f"qacotsp.{info.name}")
                for info in pkgutil.iter_modules(qacotsp.__path__)]
-    for target in OPERATORS:
+    for target in targets:
         module, name = target.split(".")
         original = getattr(importlib.import_module(f"qacotsp.{module}"), name)
 
@@ -44,7 +48,27 @@ def test_solvers_call_the_traced_operators(monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def test_solvers_call_the_traced_operators(monkeypatch):
+    expected = solve_both()
+    calls = wrap_calls(monkeypatch, OPERATORS + ("qaco._repair",))
     assert solve_both() == expected
     assert all(calls.values()), calls
     # one aco.next_node call per move: iterations x ants x (k - 1)
     assert calls["aco.next_node"] == 5 * 6 * 7
+    # one qaco._repair call per repaired measurement
+    assert calls["qaco._repair"] == expected[0].repairs
+
+
+def test_repair_infeasible_runs_the_solver_repair_once_per_call(monkeypatch):
+    calls = wrap_calls(monkeypatch, ("qaco._repair",))
+    pool = qaco.SolutionPool()
+    rng = np.random.default_rng(5)
+    for n, (tour, iteration) in enumerate([(None, 3), ((1, 0, 2, 3), 3), (None, 50),
+                                           ((2, 3, 1, 0), 50), (None, 50)], start=1):
+        if tour is not None:
+            pool.add(Tour(tour), qaco.encode_tour(Tour(tour), 4), float(n))
+        assert qaco.repair_infeasible("11111111", pool, iteration, 4, rng) is not None
+        assert calls["qaco._repair"] == n

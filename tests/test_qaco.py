@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qacotsp import qaco
 from qacotsp.qaco import (
     MAX_CITIES,
     ROTATION_TABLE,
@@ -160,6 +161,24 @@ def test_repair_rejects_more_cities_than_the_encoding_holds():
         repair_infeasible("0" * 10, SolutionPool(), iteration=1, k=MAX_CITIES + 1, rng=rng)
 
 
+def test_repair_rejects_a_measurement_of_the_wrong_length():
+    pool = SolutionPool()
+    pool.add(Tour((1, 0, 2, 3)), "01001011", 2.0)
+    rng = np.random.default_rng(0)
+    for bits in ("111111", "1111111111"):
+        with pytest.raises(LengthMismatch):
+            repair_infeasible(bits, pool, iteration=50, k=4, rng=rng)
+
+
+def test_repair_rejects_a_pooled_tour_of_another_size():
+    # A 3-city entry has no 4-city decoding, so drawing it would give None.
+    pool = SolutionPool()
+    pool.add(Tour((2, 0, 1)), "100001", 1.0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(LengthMismatch):
+        repair_infeasible("00000000", pool, iteration=50, k=4, rng=rng)
+
+
 # ---------------------------------------------------------------------------
 # solution pool
 
@@ -178,6 +197,24 @@ def test_pool_sorted_bounded_deduped():
     better = tours[5]
     assert pool.add(better, encode_tour(better, 4), 2.0)
     assert [e.length for e in pool.entries] == [1.0, 2.0, 3.0]
+
+
+def test_pool_refuses_bits_that_do_not_encode_the_tour():
+    # Pooled bits that decode to no tour would make a later repair return None.
+    pool = SolutionPool()
+    for bits in ("11111111", "000110", "0b011011", "00011011 "):
+        with pytest.raises(qaco.EncodingMismatch):
+            pool.add(Tour((0, 1, 2, 3)), bits, 1.0)
+    assert pool.entries == [] and pool.codes == []
+    repaired = repair_infeasible("00000000", pool, iteration=50, k=4, rng=np.random.default_rng(0))
+    assert isinstance(repaired, Tour)
+
+
+def test_pool_refuses_a_capacity_below_one():
+    # A pool of capacity 0 would have no entry to evict on its first add.
+    for capacity in (0, -1):
+        with pytest.raises(ValueError):
+            SolutionPool(capacity=capacity)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ the ``qaco_solve`` loop from ``qaco``.  The integer core keeps every random draw
 operation of the reference, so every ``QacoResult`` field must be equal, not
 merely close.  The operator oracles at the end hold the live int-code
 ``rotation_update`` and ``maybe_mutate`` to the reference string forms one
-call at a time.
+call at a time, and the live ``SolutionPool``, which also keeps its entries'
+int codes, to the reference pool one ``add`` at a time.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -528,3 +530,25 @@ def test_maybe_mutate_matches_reference(noise):
         flips += mutated != code
     assert a.random() == b.random()  # the same number of draws was taken
     assert flips > 0 or (noise.kind is NoiseKind.THERMAL_RELAXATION and noise.rate == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# pool oracle: the live pool against the reference one, add by add, over
+# tours of 2 to 4 cities, repeated tours and tied lengths
+
+POOL_TOURS = [Tour(p) for k in (2, 3, 4) for p in itertools.permutations(range(k))]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(capacity=st.integers(1, 10),
+       adds=st.lists(st.tuples(st.sampled_from(POOL_TOURS),
+                               st.sampled_from([0.5, 1.0, 1.0 + 2 ** -52, 2.0, 3.0])),
+                     max_size=40))
+def test_property_pool_matches_reference(capacity, adds):
+    live, frozen = qaco.SolutionPool(capacity), SolutionPool(capacity)
+    for tour, length in adds:
+        bits = encode_tour(tour, len(tour))
+        assert live.add(tour, bits, length) == frozen.add(tour, bits, length)
+        assert ([(e.tour, e.bits, e.length) for e in live.entries]
+                == [(e.tour, e.bits, e.length) for e in frozen.entries])
+        assert live.codes == [int(e.bits, 2) for e in live.entries]
