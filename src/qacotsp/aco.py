@@ -64,6 +64,10 @@ class EmptyAllowedSet(ValueError):
     pass
 
 
+class NonFiniteWeights(ValueError):
+    """An off-diagonal weight tau^alpha * eta^beta is NaN or infinite."""
+
+
 @dataclass(frozen=True)
 class AcoParams:
     n_ants: int = 6
@@ -207,6 +211,8 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
     (seed, iteration, ant), so results do not depend on scheduling.
     ``initial_tour`` seeds the incumbent (used by the tour-polishing
     refinement stage); ``D`` lets callers pass a precomputed local matrix.
+    Raises ``NonFiniteWeights`` before the first ant of an iteration whose
+    weights tau^alpha * eta^beta hold a NaN or inf off the diagonal.
     """
     indices = list(indices)
     k = len(indices)
@@ -233,6 +239,11 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
     history = []
     for it in range(1, params.iterations + 1):
         W = _weights(tau, eta_beta, params.alpha)
+        finite = np.isfinite(W)
+        if not finite.all():
+            np.fill_diagonal(finite, True)  # no move reads it; NaN or inf there when alpha < 0
+            if not finite.all():
+                raise NonFiniteWeights(f"non-finite weights off the diagonal at iteration {it}")
         ranked = _rank(W)
         for ant in range(params.n_ants):
             rng = np.random.default_rng(seed_words + [it, ant])

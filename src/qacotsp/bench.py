@@ -11,12 +11,10 @@ partly written file.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
 import time
-import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +37,7 @@ from .tsplib import (
     gen_random_instance,
     load_instance,
     tour_length,
+    write_atomic,
 )
 
 SOLVERS = ("aco", "qaco-hybrid", "clustered-aco")
@@ -187,19 +186,6 @@ def run_cells(cells, metric: MetricMode, out_dir: str, qaco_params: QacoParams,
     return records
 
 
-def _write_atomic(path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``."""
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-    try:
-        with open(tmp, "x", encoding="utf-8", newline="\n") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
 def _existing_csv(path) -> str:
     """The results CSV at ``path`` (just the header if absent), checked for its header."""
     if not os.path.exists(path):
@@ -229,7 +215,7 @@ def write_records_csv(records, path) -> None:
     An existing file must start with ``CSV_HEADER``, else ``ConfigError`` is
     raised and the file is left as it was.
     """
-    _write_atomic(path, _existing_csv(path) + "".join(rec.csv_row() + "\n" for rec in records))
+    write_atomic(path, _existing_csv(path) + "".join(rec.csv_row() + "\n" for rec in records))
 
 
 def write_records_json(records, path) -> None:
@@ -240,7 +226,7 @@ def write_records_json(records, path) -> None:
     """
     existing = _existing_json(path)
     existing.extend(rec.to_json() for rec in records)
-    _write_atomic(path, json.dumps(existing, indent=1) + "\n")
+    write_atomic(path, json.dumps(existing, indent=1) + "\n")
 
 
 def median(values) -> float:
@@ -305,7 +291,7 @@ def cmd_compare(dataset_specs, seeds, metric: MetricMode, out_dir: str,
             f"{row['dataset']},{opt},{row['aco']:.6f},{row['qaco-hybrid']:.6f},"
             f"{row['clustered-aco']:.6f}\n"
         )
-    _write_atomic(os.path.join(out_dir, "comparison.csv"), "".join(lines))
+    write_atomic(os.path.join(out_dir, "comparison.csv"), "".join(lines))
     return rows
 
 
@@ -342,7 +328,7 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
     header = "dataset,noise_kind,ideal," + ",".join(
         f"{lvl * 100:g}%" for lvl in levels
     ) + ",deviation_pct"
-    _write_atomic(
+    write_atomic(
         os.path.join(out_dir, "sweep.csv"),
         header + "\n"
         + f"{inst.name},{noise_kind},{baseline:.6f},"
@@ -378,10 +364,10 @@ def cmd_estimate_error(layers_file: str = None, preset: str = None,
     report = estimate_circuit_error(layers)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_atomic(os.path.join(out_dir, "error_report.json"),
-                      json.dumps({"s": report.s, "depth": report.depth,
-                                  "layer_averages": list(report.layer_averages)}, indent=1)
-                      + "\n")
+        write_atomic(os.path.join(out_dir, "error_report.json"),
+                     json.dumps({"s": report.s, "depth": report.depth,
+                                 "layer_averages": list(report.layer_averages)}, indent=1)
+                     + "\n")
     return report
 
 
@@ -473,7 +459,7 @@ def write_svg_plot(path, xs, label: str, ys, title="", xlabel="", ylabel="") -> 
         f'font-family="sans-serif" font-size="10" fill="{color}">{label}</text>'
     )
     parts.append("</svg>")
-    _write_atomic(path, "\n".join(parts) + "\n")
+    write_atomic(path, "\n".join(parts) + "\n")
 
 
 def check_keys(block, allowed, what: str) -> dict:

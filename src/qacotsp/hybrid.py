@@ -1,12 +1,12 @@
-"""End-to-end hybrid solver: cluster, solve leaves, stitch, refine.
+"""End-to-end hybrid solver in three stages: solve the leaves, join, refine.
 
-The instance is decomposed by the cluster tree, each leaf is solved as a
-small TSP cycle (quantum-sampled colony, classical colony, or brute force),
-sibling solutions are visited in the order of a brute-force tour over their
-centroids, adjacent cycles are merged by the cheapest 2-edge exchange, and
-the root tour is optionally polished by 2-opt or a short classical colony
-run.  Global cycles (lists of city ids) pass from the leaves up to the root,
-where the cycle over all cities is validated and measured once.
+The cluster tree decomposes the instance.  One pass solves every leaf as a
+small TSP cycle (quantum-sampled colony, classical colony, or brute force).
+A pure recursive join then stitches the leaf cycles up the tree: siblings
+are visited in the order of a brute-force tour over their centroids, and
+adjacent cycles are merged by the cheapest 2-edge exchange.  The root cycle
+over all cities is validated and measured once, then optionally polished by
+2-opt or a short classical colony run.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import dataclasses
 import enum
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,64 +196,59 @@ def two_opt(tour: Tour, inst: Instance, metric: MetricMode = MetricMode.CANONICA
     return Tour(order[:n])
 
 
-@dataclass
+@dataclass(frozen=True)
 class HybridStats:
-    leaf_sizes: list = field(default_factory=list)
-    leaf_lengths: list = field(default_factory=list)
-    stitched_length: float = 0.0
-    refined_length: float = 0.0
-    stitch_cost: float = 0.0
-    refinement_gain: float = 0.0
-    tree_depth: int = 0
-    leaf_iterations: int = 0
-    repairs: int = 0
-    mutations: int = 0
-    wall_ms: float = 0.0
+    leaf_sizes: list
+    leaf_lengths: list
+    stitched_length: float
+    refined_length: float
+    stitch_cost: float
+    refinement_gain: float
+    tree_depth: int
+    leaf_iterations: int
+    repairs: int
+    mutations: int
+    wall_ms: float
 
 
-def _solve_leaf(inst, indices, config: HybridConfig, seed, D, stats: HybridStats):
-    k = len(indices)
+def _solve_leaf(inst, indices, config: HybridConfig, seed, D):
+    """One leaf's (global cycle, length, iterations, repairs, mutations); 0 for no count."""
     sub = sub_distance_matrix(D, indices)
-    if k <= 3 or config.leaf_solver is LeafSolver.BRUTE_FORCE:
+    counts = (0, 0, 0)
+    if len(indices) <= 3 or config.leaf_solver is LeafSolver.BRUTE_FORCE:
         tour = brute_force_order(sub)
         length = cycle_length(sub, tour.order)
     elif config.leaf_solver is LeafSolver.QACO:
         result = qaco_solve(inst, indices, config.qaco_params, config.noise,
                             config.metric, seed=seed, D=sub)
         tour, length = result.tour, result.length
-        stats.leaf_iterations += result.iterations
-        stats.repairs += result.repairs
-        stats.mutations += result.mutations
+        counts = (result.iterations, result.repairs, result.mutations)
     else:
         tour, length, history = aco_solve(inst, indices, config.aco_params, seed=seed,
                                           metric=config.metric, D=sub)
-        stats.leaf_iterations += len(history)
-    stats.leaf_sizes.append(k)
-    stats.leaf_lengths.append(float(length))
-    return [indices[p] for p in tour.order]
+        counts = (len(history), 0, 0)
+    return [indices[p] for p in tour.order], float(length), *counts
 
 
-def _solve_node(inst, tree: ClusterTree, config, seed_counter, D, stats) -> list:
+def _join(inst, tree: ClusterTree, cycles: dict, D) -> list:
+    """The cycle over ``tree``'s cities, from the leaf cycles keyed by leaf node."""
     if tree.is_leaf:
-        return _solve_leaf(inst, list(tree.node), config,
-                           [config.seed, next(seed_counter)], D, stats)
-    cycles = [_solve_node(inst, c, config, seed_counter, D, stats) for c in tree.children]
+        return cycles[tree.node]
+    joined = [_join(inst, c, cycles, D) for c in tree.children]
     # Means over c.node, which is sorted: rows in cycle order may round differently.
     centroids = [centroid_of(inst, c.node) for c in tree.children]
-    return stitch([cycles[i] for i in order_siblings(centroids)], D)
+    return stitch([joined[i] for i in order_siblings(centroids)], D)
 
 
 def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
     """Steps 1-6 of the hybrid workflow on a full instance.
 
-    Returns (tour over all cities, length, HybridStats).  Leaf seeds are
-    derived from (config.seed, leaf ordinal in tree traversal order), so the
-    output is identical no matter how leaf solves are scheduled.
+    Returns (tour over all cities, length, HybridStats).  Every leaf is solved
+    first, leaf i of ``tree.leaves()`` with seed (config.seed, i); then the leaf
+    cycles are joined into one cycle, which is refined.  The stats come last.
     """
     start = time.perf_counter()
     D = distance_matrix(inst, config.metric)
-    stats = HybridStats()
-
     tree = build_cluster_tree(
         inst,
         leaf_max=config.leaf_max,
@@ -261,14 +256,17 @@ def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
         seed=config.seed,
         restarts=config.kmeans_restarts,
     )
-    stats.tree_depth = tree.depth()
 
-    cycle = _solve_node(inst, tree, config, itertools.count(), D, stats)
+    leaves = tree.leaves()
+    solved = [_solve_leaf(inst, list(leaf.node), config, [config.seed, i], D)
+              for i, leaf in enumerate(leaves)]
+    cycles, leaf_lengths, iterations, repairs, mutations = zip(*solved)
+
+    cycle = _join(inst, tree, {leaf.node: c for leaf, c in zip(leaves, cycles)}, D)
     if not validate_tour(cycle, inst.dimension):
         raise InvariantError(f"stitched tour is not a permutation of {inst.dimension} cities")
     stitched = Tour(tuple(cycle))
-    stats.stitched_length = cycle_length(D, cycle)
-    stats.stitch_cost = stats.stitched_length - sum(stats.leaf_lengths)
+    stitched_length = cycle_length(D, cycle)
 
     if config.refinement is Refinement.TWO_OPT:
         refined = two_opt(stitched, inst, config.metric,
@@ -286,10 +284,11 @@ def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
         refined = stitched
 
     length = cycle_length(D, refined.order)
-    if not length <= stats.stitched_length + 1e-9:
-        raise InvariantError(f"refinement lengthened the tour: {length!r} > "
-                             f"{stats.stitched_length!r}")
-    stats.refined_length = float(length)
-    stats.refinement_gain = stats.stitched_length - stats.refined_length
-    stats.wall_ms = (time.perf_counter() - start) * 1000.0
-    return refined, float(length), stats
+    if not length <= stitched_length + 1e-9:
+        raise InvariantError(f"refinement lengthened the tour: {length!r} > {stitched_length!r}")
+    return refined, length, HybridStats(
+        leaf_sizes=[len(leaf.node) for leaf in leaves], leaf_lengths=list(leaf_lengths),
+        stitched_length=stitched_length, refined_length=length,
+        stitch_cost=stitched_length - sum(leaf_lengths), refinement_gain=stitched_length - length,
+        tree_depth=tree.depth(), leaf_iterations=sum(iterations), repairs=sum(repairs),
+        mutations=sum(mutations), wall_ms=(time.perf_counter() - start) * 1000.0)

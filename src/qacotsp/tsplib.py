@@ -2,13 +2,17 @@
 
 Only the NODE_COORD_SECTION subset of TSPLIB is supported, with
 EDGE_WEIGHT_TYPE EUC_2D or GEO.  All city indices are 0-based internally;
-the 1-based TSPLIB ids are remapped at parse time.
+the 1-based TSPLIB ids are remapped at parse time.  ``write_atomic``, the
+package's one file writer, renames a finished temporary file over its target.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import os
+import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,9 +244,21 @@ def load_instance(path) -> Instance:
         return parse_instance(f.read())
 
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``."""
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_instance(inst: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(format_instance(inst))
+    write_atomic(path, format_instance(inst))
 
 
 # TSPLIB reference constants for the GEO metric.

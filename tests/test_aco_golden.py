@@ -264,16 +264,28 @@ def test_coincident_points():
     coords = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [3.0, 4.0],
                        [10.0, 0.0], [0.0, 0.0], [7.0, 7.0], [1.0, 9.0], [1.0, 9.0],
                        [5.0, 2.0], [8.0, 3.0], [2.0, 6.0], [0.0, 0.0]])
-    # alpha = beta = 40 with tau0 = 1e-12 makes tau^alpha 0 and eta^beta inf
-    # on the coincident edges, so 0 * inf puts NaN weights into W; with more
-    # than GREEDY_TOP cities a NaN falls outside a row's ranking
     for n in (8, 14):
         inst = Instance("coincident", n, "EUC_2D", coords[:n])
         assert np.min(distance_matrix(inst, PLAIN) + np.eye(n)) < ZERO_DIST_GUARD
-        for params in (AcoParams(iterations=30), AcoParams(iterations=30, q0=0.0, beta=3.0),
-                       AcoParams(alpha=40.0, beta=40.0, tau0=1e-12, iterations=10)):
+        for params in (AcoParams(iterations=30), AcoParams(iterations=30, q0=0.0, beta=3.0)):
             for seed in range(4):
                 assert_same_solves(inst, range(n), params=params, seed=seed, metric=PLAIN)
+        # alpha = beta = 40 with tau0 = 1e-12 makes tau^alpha 0 and eta^beta inf
+        # on the coincident edges, so 0 * inf puts NaN weights into W
+        with pytest.raises(aco.NonFiniteWeights, match="iteration 1$"):
+            aco.aco_solve(inst, range(n), AcoParams(alpha=40.0, beta=40.0, tau0=1e-12,
+                                                    iterations=10), metric=PLAIN)
+
+
+def test_negative_alpha_runs_with_nonfinite_diagonal():
+    # tau's zero diagonal gives 0 ** -1 = inf there, and W's diagonal is NaN
+    # (0 * inf); no move reads it, so the colony runs as the reference does
+    inst = load_instance(DATA_DIR / "ulysses16.tsp")
+    for seed in range(3):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert_same_solves(inst, range(inst.dimension),
+                               params=AcoParams(alpha=-1.0, iterations=20), seed=seed,
+                               metric=PLAIN)
 
 
 @pytest.mark.parametrize("top", [aco.GREEDY_TOP, 2])

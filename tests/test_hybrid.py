@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from qacotsp import hybrid
-from qacotsp.cluster import ClusterTree
+from qacotsp.cluster import ClusterTree, build_cluster_tree
 from qacotsp.hybrid import (
     HybridConfig,
     InvariantError,
@@ -217,6 +218,41 @@ def test_hybrid_quads_solves_leaves_and_visits_in_perimeter_order():
     # within a hair of the exact 16-city optimum (stitch is a 2-edge exchange,
     # which can miss a diagonal in-quad path worth ~0.001%)
     assert optimum - 1e-9 <= length <= optimum * 1.001
+
+
+def test_every_leaf_is_solved_before_the_first_stitch(monkeypatch):
+    inst = gen_random_instance(64, 2024, 1000.0)
+    config = HybridConfig(seed=3, metric=MetricMode.PLAIN)
+    leaves = build_cluster_tree(inst, leaf_max=config.leaf_max, branching=config.branching,
+                                seed=config.seed, restarts=config.kmeans_restarts).leaves()
+    calls = []
+
+    def spy(name, record):
+        original = getattr(hybrid, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, record(*args, **kwargs)))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hybrid, name, wrapper)
+
+    spy("qaco_solve", lambda inst, indices, *args, seed, **kwargs: (list(indices), seed))
+    spy("brute_force_order", lambda D: (D.shape[0], None))
+    spy("stitch", lambda cycles, D: None)
+    _, _, stats = solve_hybrid(inst, config)
+
+    names = [name for name, _ in calls]
+    assert stats.tree_depth >= 2 and "qaco_solve" in names
+    assert "stitch" not in names[:len(leaves)]
+    assert set(names[len(leaves):]) == {"stitch"}
+    # leaf i of tree.leaves() is solved i-th, with seed (config seed, i)
+    for i, (leaf, (name, (what, seed))) in enumerate(zip(leaves, calls)):
+        if name == "qaco_solve":
+            assert (what, seed) == (list(leaf.node), [config.seed, i])
+        else:
+            assert what == len(leaf.node)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.wall_ms = 0.0
 
 
 def test_hybrid_eil76_valid(data_dir):

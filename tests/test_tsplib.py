@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from qacotsp.tsplib import (
     gen_random_instance,
     load_instance,
     parse_instance,
+    save_instance,
     sub_distance_matrix,
     tour_length,
     validate_tour,
@@ -235,3 +237,18 @@ def test_format_parse_roundtrip():
     assert again.dimension == inst.dimension
     assert again.edge_weight_type == inst.edge_weight_type
     assert np.allclose(again.coords, inst.coords, rtol=0, atol=1e-9)
+
+
+def test_failed_save_keeps_the_existing_file(tmp_path, monkeypatch):
+    path = tmp_path / "inst.tsp"
+    save_instance(gen_random_instance(5, 1, 100.0), path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        save_instance(gen_random_instance(50, 2, 100.0), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["inst.tsp"]
