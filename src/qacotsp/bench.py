@@ -40,7 +40,8 @@ from .tsplib import (
     write_atomic,
 )
 
-SOLVERS = ("aco", "qaco-hybrid", "clustered-aco")
+# Each solver name and its column label in ``comparison.csv``.
+SOLVERS = {"aco": "ACO", "qaco-hybrid": "QACO", "clustered-aco": "ClusteredACO"}
 CSV_HEADER = "dataset,solver,seed,noise_kind,noise_rate,length,iterations,wall_ms"
 DEFAULT_NOISE_LEVELS = (0.001, 0.01, 0.02, 0.05, 0.10)
 # HybridConfig fields a config's ``hybrid`` block may set; the harness sets
@@ -96,19 +97,17 @@ def resolve_instance(spec: str) -> Instance:
 def parse_metric(name: str) -> MetricMode:
     try:
         return {"canonical": MetricMode.CANONICAL, "paper": MetricMode.PLAIN}[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError(f"unknown metric {name!r} (expected canonical|paper)")
 
 
 def parse_noise(kind: str, rate: float) -> NoiseSpec:
-    kinds = {
-        "none": NoiseKind.NONE,
-        "bitflip": NoiseKind.BIT_FLIP,
-        "thermal": NoiseKind.THERMAL_RELAXATION,
-    }
-    if kind not in kinds:
-        raise ConfigError(f"unknown noise kind {kind!r} (expected none|bitflip|thermal)")
-    return NoiseSpec(kinds[kind], rate if kind != "none" else 0.0)
+    try:
+        noise_kind = NoiseKind(kind)
+    except ValueError:
+        raise ConfigError(f"unknown noise kind {kind!r} "
+                          f"(expected {'|'.join(k.value for k in NoiseKind)})")
+    return NoiseSpec(noise_kind, rate if noise_kind is not NoiseKind.NONE else 0.0)
 
 
 def run_single(inst: Instance, solver: str, seed: int, noise: NoiseSpec,
@@ -117,7 +116,7 @@ def run_single(inst: Instance, solver: str, seed: int, noise: NoiseSpec,
                hybrid_overrides: dict = None) -> RunRecord:
     """One (instance, solver, seed, noise) cell; self-checks its own record."""
     if solver not in SOLVERS:
-        raise ConfigError(f"unknown solver {solver!r} (expected one of {SOLVERS})")
+        raise ConfigError(f"unknown solver {solver!r} (expected one of {tuple(SOLVERS)})")
     start = time.perf_counter()
     if solver == "aco":
         tour, length, history = aco_solve(inst, range(inst.dimension), aco_params,
@@ -233,6 +232,13 @@ def median(values) -> float:
     return float(np.median(np.asarray(list(values), dtype=float)))
 
 
+def _block_medians(records, blocks: int) -> list:
+    """The median length of each of ``blocks`` equal runs of consecutive records."""
+    size = len(records) // blocks
+    return [median(r.length for r in records[i:i + size])
+            for i in range(0, len(records), size)]
+
+
 # ---------------------------------------------------------------------------
 # subcommand drivers
 
@@ -259,7 +265,7 @@ def cmd_compare(dataset_specs, seeds, metric: MetricMode, out_dir: str,
     """
     optima = {} if optima is None else optima
     if not isinstance(optima, dict) or not all(
-            _is_json(v, (int, float)) for v in optima.values()):
+            is_json(v, (int, float)) for v in optima.values()):
         raise ConfigError(f"optima must be a JSON object of numbers, got {optima!r}")
     instances = [resolve_instance(spec) for spec in dataset_specs]
     names = [inst.name for inst in instances]
@@ -274,23 +280,15 @@ def cmd_compare(dataset_specs, seeds, metric: MetricMode, out_dir: str,
         for seed in seeds
     ]
     records = run_cells(cells, metric, out_dir, qaco_params, aco_params, hybrid_overrides)
+    medians = iter(_block_medians(records, len(instances) * len(SOLVERS)))
+    rows = [{"dataset": inst.name, "optimum": optima.get(inst.name, ""),
+             **{solver: next(medians) for solver in SOLVERS}} for inst in instances]
 
-    rows = []
-    for inst in instances:
-        row = {"dataset": inst.name, "optimum": optima.get(inst.name, "")}
-        for solver in SOLVERS:
-            lengths = [r.length for r in records
-                       if r.dataset == inst.name and r.solver == solver]
-            row[solver] = median(lengths)
-        rows.append(row)
-
-    lines = ["dataset,optimum,ACO,QACO,ClusteredACO\n"]
+    lines = ["dataset,optimum," + ",".join(SOLVERS.values()) + "\n"]
     for row in rows:
         opt = f"{row['optimum']:g}" if row["optimum"] != "" else ""
-        lines.append(
-            f"{row['dataset']},{opt},{row['aco']:.6f},{row['qaco-hybrid']:.6f},"
-            f"{row['clustered-aco']:.6f}\n"
-        )
+        lines.append(f"{row['dataset']},{opt},"
+                     + ",".join(f"{row[solver]:.6f}" for solver in SOLVERS) + "\n")
     write_atomic(os.path.join(out_dir, "comparison.csv"), "".join(lines))
     return rows
 
@@ -315,14 +313,11 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
     cells = [(inst, "qaco-hybrid", int(seed), spec) for spec in specs for seed in seeds]
     records = run_cells(cells, metric, out_dir, qaco_params, aco_params, hybrid_overrides)
 
-    baseline = median(r.length for r in records if r.noise_kind == "none")
-    level_medians = {}
-    for lvl in levels:
-        level_medians[lvl] = median(
-            r.length for r in records
-            if r.noise_kind != "none" and abs(r.noise_rate - lvl) < 1e-15
-        )
-    dev_curve = [abs(level_medians[lvl] - baseline) / baseline * 100.0 for lvl in levels]
+    baseline, *medians = _block_medians(records, len(specs))
+    level_medians = dict(zip(levels, medians))
+    # Equal medians deviate by 0, also when every tour has length 0.
+    dev_curve = [0.0 if med == baseline else abs(med - baseline) / baseline * 100.0
+                 for med in medians]
     deviation = max(dev_curve)
 
     header = "dataset,noise_kind,ideal," + ",".join(
@@ -332,7 +327,7 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
         os.path.join(out_dir, "sweep.csv"),
         header + "\n"
         + f"{inst.name},{noise_kind},{baseline:.6f},"
-        + ",".join(f"{level_medians[lvl]:.6f}" for lvl in levels)
+        + ",".join(f"{med:.6f}" for med in medians)
         + f",{deviation:.4f}\n",
     )
 
@@ -389,17 +384,17 @@ def _parse_layers(raw) -> list:
             raise ConfigError(f"{what} needs a non-empty 'gates' list, got {gates!r}")
         for gate in gates:
             if not (isinstance(gate, list) and len(gate) == 3
-                    and _is_json(gate[1], int) and _is_json(gate[2], (int, float))):
+                    and is_json(gate[1], int) and is_json(gate[2], (int, float))):
                 raise ConfigError(f"{what}: each gate must be [name, int count, number rate], "
                                   f"got {gate!r}")
         m = entry.get("m")
-        if m is not None and not _is_json(m, int):
+        if m is not None and not is_json(m, int):
             raise ConfigError(f"{what} key 'm' must be an int, got {m!r}")
         layers.append(layer(gates, m=m))
     return layers
 
 
-def _is_json(value, kinds) -> bool:
+def is_json(value, kinds) -> bool:
     """Whether a parsed JSON value is one of ``kinds``, a bool counting as none."""
     return isinstance(value, kinds) and not isinstance(value, bool)
 
@@ -488,7 +483,7 @@ def check_fields(block, defaults, allowed, what: str) -> dict:
     """
     for key, value in check_keys(block, allowed, what).items():
         kind = type(getattr(defaults, key))
-        if kind in (int, float) and not _is_json(value, (int, kind)):
+        if kind in (int, float) and not is_json(value, (int, kind)):
             expected = "an int" if kind is int else "a number"
             raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
     return block

@@ -198,8 +198,8 @@ def two_opt(tour: Tour, inst: Instance, metric: MetricMode = MetricMode.CANONICA
 
 @dataclass(frozen=True)
 class HybridStats:
-    leaf_sizes: list
-    leaf_lengths: list
+    leaf_sizes: tuple
+    leaf_lengths: tuple
     stitched_length: float
     refined_length: float
     stitch_cost: float
@@ -287,7 +287,7 @@ def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
     if not length <= stitched_length + 1e-9:
         raise InvariantError(f"refinement lengthened the tour: {length!r} > {stitched_length!r}")
     return refined, length, HybridStats(
-        leaf_sizes=[len(leaf.node) for leaf in leaves], leaf_lengths=list(leaf_lengths),
+        leaf_sizes=tuple(len(leaf.node) for leaf in leaves), leaf_lengths=leaf_lengths,
         stitched_length=stitched_length, refined_length=length,
         stitch_cost=stitched_length - sum(leaf_lengths), refinement_gain=stitched_length - length,
         tree_depth=tree.depth(), leaf_iterations=sum(iterations), repairs=sum(repairs),

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,8 @@ def test_parse_helpers():
     assert spec.rate == 0.05
     with pytest.raises(ConfigError):
         parse_noise("cosmic", 0.1)
+    with pytest.raises(ConfigError):
+        parse_noise(["bitflip"], 0.1)
 
 
 def test_run_single_unknown_solver():
@@ -190,6 +193,21 @@ def test_build_hybrid_overrides_converts_and_rejects():
         build_hybrid_overrides({"leaf_solver": "brute"})
 
 
+def test_cli_noise_sweep_on_coincident_cities_deviates_0(tmp_path, capsys):
+    # Every tour of five cities at one point has length 0, the baseline too.
+    path = tmp_path / "point.tsp"
+    path.write_text("NAME : point5\nTYPE : TSP\nDIMENSION : 5\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+                    "NODE_COORD_SECTION\n" + "".join(f"{i} 1 1\n" for i in range(1, 6))
+                    + "EOF\n")
+    out = tmp_path / "runs"
+    assert cli.main(["noise-sweep", "--instance", str(path), "--noise", "bitflip",
+                     "--seeds", "0", "--levels", "0.1", "--out", str(out),
+                     "--config", _fast_config(tmp_path)]) == 0
+    assert (out / "sweep.csv").read_text().splitlines()[1] == (
+        "point5,bitflip,0.000000,0.000000,0.0000")
+    assert "max deviation: 0.00%" in capsys.readouterr().out
+
+
 def test_noise_sweep_requires_noisy_kind(tmp_path):
     with pytest.raises(ConfigError):
         cmd_noise_sweep("random:8:13:100", "none", [0], MetricMode.PLAIN,
@@ -250,30 +268,111 @@ def test_cli_solve_and_errors(tmp_path):
     assert cli.main(["solve", "--solver", "aco", "--out", out]) == 2
 
 
+FAST_CONFIG = {
+    "qaco_params": {"max_iter": 80, "convergence_window": 40, "stall_window": 20},
+    "aco_params": {"iterations": 40},
+    "hybrid": {"kmeans_restarts": 3},
+}
+
+
 def _fast_config(tmp_path):
     path = tmp_path / "fast.json"
     if not path.exists():
-        path.write_text(json.dumps({
-            "qaco_params": {"max_iter": 80, "convergence_window": 40,
-                            "stall_window": 20},
-            "aco_params": {"iterations": 40},
-            "hybrid": {"kmeans_restarts": 3},
-        }))
+        path.write_text(json.dumps(FAST_CONFIG))
     return str(path)
 
 
-def test_cli_config_mirrors_flags(tmp_path):
-    config = tmp_path / "job.json"
-    config.write_text(json.dumps({
-        "instance": "random:8:5:100",
-        "solver": "aco",
-        "seeds": [0],
-        "metric": "paper",
-        "out": str(tmp_path / "fromcfg"),
-        "aco_params": {"iterations": 30},
-    }))
-    assert cli.main(["solve", "--config", str(config)]) == 0
-    assert os.path.exists(tmp_path / "fromcfg" / "results.csv")
+# Each flag's value as (command-line string, config value); a flag missing
+# here fails its case below.  ``out``, ``path`` and ``layers`` name files.
+MIRROR_VALUES = {
+    "instance": ("random:7:3:100", "random:7:3:100"),
+    "solver": ("clustered-aco", "clustered-aco"),
+    "noise": ("thermal", "thermal"),
+    "rate": ("0.05", 0.05),
+    "metric": ("paper", "paper"),
+    "seeds": ("1,2", [1, 2]),
+    "datasets": ("random:7:3:100,random:6:2:100", ["random:7:3:100", "random:6:2:100"]),
+    "levels": ("0.02,0.2", [0.02, 0.2]),
+    "preset": ("heron-4city", "heron-4city"),
+    "n": ("9", 9),
+    "seed": ("3", 3),
+    "bound": ("250", 250),
+}
+# The flags each command gets on the command line besides the one under test.
+MIRROR_BASE = {
+    "solve": {"instance": "random:6:1:100", "solver": "aco", "noise": "bitflip",
+              "seeds": "0"},
+    "compare": {"datasets": "random:6:1:100", "seeds": "0"},
+    "noise-sweep": {"instance": "random:6:1:100", "noise": "bitflip", "levels": "0.1",
+                    "seeds": "0"},
+    "estimate-error": {"preset": "heron-4city"},
+    "gen-random": {"n": "8"},
+}
+
+
+def _outputs(run) -> dict:
+    """Every file under ``run`` by relative path, ``results.json`` without ``wall_ms``."""
+    files = {}
+    for path in sorted(run.rglob("*")):
+        data = path.read_bytes() if path.is_file() else None
+        if path.name == "results.json":
+            data = [{k: v for k, v in rec.items() if k != "wall_ms"} for rec in json.loads(data)]
+        files[path.relative_to(run).as_posix()] = data
+    return files
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, keys) in cli.COMMANDS.items()
+    for key, spec in keys.items() if spec.type is not None
+], ids=lambda value: value)
+def test_cli_config_mirrors_flags(command, key, tmp_path, capsys):
+    # Setting a flag on the command line or through --config gives the same run.
+    keys = cli.COMMANDS[command][1]
+    layers = tmp_path / "layers.json"
+    layers.write_text(json.dumps([{"gates": [["ry", 9, 0.0003]]}, {"gates": [["m", 9, 0.01]]}]))
+    fast = FAST_CONFIG if "hybrid" in keys else {}
+    results = []
+    for via_config in (False, True):
+        run = tmp_path / ("config" if via_config else "flag")
+        run.mkdir()
+        files = {"out": str(run), "path": str(run / "rnd.tsp"), "layers": str(layers)}
+        values = {**MIRROR_VALUES, **{k: (v, v) for k, v in files.items()}}
+        flags = {k: v for k, v in MIRROR_BASE[command].items()
+                 if k != key and not (key == "layers" and k == "preset")}
+        flags.update({k: files[k] for k in ("out", "path") if k in keys and k != key})
+        config = dict(fast)
+        if via_config:
+            config[key] = values[key][1]
+        else:
+            flags[key] = values[key][0]
+        path = tmp_path / f"{run.name}.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path)]
+        for k, v in flags.items():
+            argv += [f"--{k}", v]
+        assert cli.main(argv) == 0
+        printed = re.sub(r"\(\d+ ms\)", "", capsys.readouterr().out.replace(str(run), "RUN"))
+        results.append((printed, _outputs(run)))
+    assert results[0][1], "the run wrote no file"
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_cli_help_exits_0(command, capsys):
+    # A help string with a bare % breaks --help alone.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_cli_unknown_metric_exits_2(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert cli.main(["solve", "--instance", "random:8:5:100", "--metric", "bogus",
+                     "--seeds", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: unknown metric 'bogus' (expected canonical|paper)\n")
 
 
 def test_cli_gen_random_roundtrip(tmp_path):
@@ -372,10 +471,15 @@ def test_cli_bad_config_key_exits_2_before_writing(config, allowed, tmp_path, ca
     ("qaco-hybrid", {"hybrid": {"two_opt_max_passes": -1}}, "max_passes"),
     ("qaco-hybrid", {"hybrid": {"polish_iterations": -3, "refinement": "aco-polish"}},
      "iterations"),
+    ("aco", {"instance": 5}, "instance"),
+    ("aco", {"metric": ["paper"]}, "metric"),
+    ("aco", {"rate": None}, "rate"),
+    ("aco", {"seeds": [0.5]}, "seeds"),
 ], ids=["aco-iterations-str", "aco-alpha-str", "qaco-n-ants-float", "qaco-stall-window-str",
         "hybrid-two-opt-passes-str", "qaco-max-iter-0", "aco-iterations-0", "aco-n-ants-0",
         "qaco-pool-capacity-0", "qaco-n-ants-0", "hybrid-branching-1", "aco-q0-bool",
-        "hybrid-two-opt-passes-negative", "hybrid-polish-iterations-negative"])
+        "hybrid-two-opt-passes-negative", "hybrid-polish-iterations-negative",
+        "instance-int", "metric-list", "rate-null", "seeds-float"])
 def test_cli_bad_config_value_exits_2_before_writing(solver, config, key, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))

@@ -194,7 +194,11 @@ def test_hybrid_single_leaf_equals_qaco():
     direct = qaco_solve(inst, range(4), config.qaco_params, config.noise,
                         MetricMode.PLAIN, seed=[5, 0])
     assert length == pytest.approx(direct.length)
-    assert stats.leaf_sizes == [4]
+    assert stats.leaf_sizes == (4,)
+    # the record is immutable all the way down, so it hashes
+    hash(stats)
+    with pytest.raises(AttributeError):
+        stats.leaf_sizes.append(9)
 
 
 def test_hybrid_quads_solves_leaves_and_visits_in_perimeter_order():
