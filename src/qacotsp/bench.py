@@ -308,6 +308,8 @@ def cmd_noise_sweep(instance_spec: str, noise_kind: str, seeds, metric: MetricMo
     levels = list(levels)
     if not levels:
         raise ConfigError("noise-sweep needs at least one noise level")
+    if len(set(levels)) < len(levels):
+        raise ConfigError(f"noise-sweep levels must differ, got {levels}")
     inst = resolve_instance(instance_spec)
     specs = [NoiseSpec()] + [parse_noise(noise_kind, lvl) for lvl in levels]
     cells = [(inst, "qaco-hybrid", int(seed), spec) for spec in specs for seed in seeds]

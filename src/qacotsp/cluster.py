@@ -3,6 +3,17 @@
 Cities are split with K-means (K-means++ seeding, multiple restarts) until
 every leaf holds at most ``leaf_max`` cities, the size a 2-bits-per-city
 quantum register can encode.
+
+``kmeans`` runs its restarts in lockstep.  Each K-means++ step (Arthur and
+Vassilvitskii, 2007) picks the next seed of every restart from one (R, n)
+block, and each Lloyd iteration (Lloyd, 1982) updates every restart still
+moving from one (R, k, n) distance block.  Every restart keeps its own
+generator and makes the same draws, in the same order, as it would alone.
+The seeding's weighted draw repeats the steps numpy takes inside
+``Generator.choice(n, p=...)``: a cumulative sum normalized by its last
+entry, searched for one ``random()``.  ``tests/test_kmeans_golden.py`` pins
+that identity against ``choice`` itself, and pins every result against a
+frozen one-restart-at-a-time K-means.
 """
 
 from __future__ import annotations
@@ -64,65 +75,76 @@ class ClusterTree:
         return 1 + max(child.depth() for child in self.children)
 
 
-def _inertia(points, centroids, labels) -> float:
-    return float(np.sum((points - centroids[labels]) ** 2))
+def _inertia(points, centroids, slots) -> np.ndarray:
+    """Inertia of each restart: (n, 2) points, (A, k, 2) centroids, (A * n,) slots.
+
+    Point i of restart r sits in slot ``r * k + label``.  Each row sums its
+    points' squared offsets in point order, as one restart's (n, 2) sum does.
+    """
+    a = len(centroids)
+    assigned = centroids.reshape(-1, 2)[slots].reshape(a, -1, 2)
+    return ((points - assigned) ** 2).reshape(a, -1).sum(axis=1)
 
 
-def _kmeanspp_init(points, k, rng) -> np.ndarray:
-    n = len(points)
-    centroids = [points[rng.integers(n)]]
-    for _ in range(1, k):
-        d2 = np.min(
-            ((points[:, None, :] - np.asarray(centroids)[None, :, :]) ** 2).sum(axis=2),
-            axis=1,
-        )
-        total = d2.sum()
-        if total <= 0.0:
-            probs = np.full(n, 1.0 / n)
-        else:
-            probs = d2 / total
-        centroids.append(points[rng.choice(n, p=probs)])
-    return np.asarray(centroids)
+def _squared_distances(xy, centroids) -> np.ndarray:
+    """(A, k, n) squared distances from each restart's centroids to the (2, n) points."""
+    d = np.subtract(xy[:, None, None, :], centroids.transpose(2, 0, 1)[..., None])
+    np.square(d, out=d)
+    return np.add(d[0], d[1], out=d[0])
 
 
-def _lloyd(points, k, rng):
-    centroids = _kmeanspp_init(points, k, rng)
-    labels = np.zeros(len(points), dtype=int)
-    history = []
-    for _ in range(LLOYD_MAX_ITER):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)  # ties break toward the lowest id
+def _draw(probs, u) -> np.ndarray:
+    """Index drawn from each row of ``probs`` by that row's uniform ``u``.
 
-        # Reseed empty clusters with the point currently farthest from its
-        # assigned centroid (lowest index on ties), never draining a cluster
-        # below one member.
-        for cid in range(k):
-            if not np.any(labels == cid):
-                sizes = np.bincount(labels, minlength=k)
-                dist_to_own = d2[np.arange(len(points)), labels]
-                dist_to_own = np.where(sizes[labels] > 1, dist_to_own, -1.0)
-                labels[int(np.argmax(dist_to_own))] = cid
+    These are numpy's own steps for ``Generator.choice(n, p=row)``, which
+    draws one ``random()``: normalize the row's cumulative sum by its last
+    entry and search it for ``u`` to the right.  The count of entries <= u
+    is that search's index, since the cumulative sum never decreases.
+    """
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
 
-        new_centroids = np.array(
-            [points[labels == cid].mean(axis=0) for cid in range(k)]
-        )
-        inertia = _inertia(points, new_centroids, labels)
-        if history and not inertia <= history[-1] + 1e-9 * max(1.0, history[-1]):
-            raise InvariantError(f"K-means inertia increased between Lloyd iterations: "
-                                 f"{history[-1]!r} -> {inertia!r}")
-        history.append(inertia)
-        movement = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
-        centroids = new_centroids
-        if movement < 1e-9:
-            break
-    return ClusterAssignment(labels, centroids, history[-1], tuple(history))
+
+def _kmeanspp(xy, k, rngs) -> np.ndarray:
+    """K-means++ seeds of every restart at once, as (R, k, 2) centroids."""
+    n = xy.shape[1]
+    centroids = np.empty((len(rngs), k, 2))
+    centroids[:, 0] = xy[:, [rng.integers(n) for rng in rngs]].T
+    d2 = _squared_distances(xy, centroids[:, :1])[:, 0]
+    for j in range(1, k):
+        total = d2.sum(axis=1)
+        uniform = total <= 0.0
+        probs = np.divide(d2, total[:, None], out=np.full_like(d2, 1.0 / n),
+                          where=~uniform[:, None])
+        centroids[:, j] = xy[:, _draw(probs, np.array([rng.random() for rng in rngs]))].T
+        d2 = np.minimum(d2, _squared_distances(xy, centroids[:, j:j + 1])[:, 0])
+    return centroids
+
+
+def _reseed_empty(labels, d2, k) -> None:
+    """Give each empty cluster the point farthest from its own centroid.
+
+    ``d2`` is the (k, n) distance table.  Lowest point index on ties, and
+    never a cluster's last member.
+    """
+    n = len(labels)
+    for cid in range(k):
+        sizes = np.bincount(labels, minlength=k)
+        if sizes[cid] == 0:
+            dist_to_own = np.where(sizes[labels] > 1, d2[labels, np.arange(n)], -1.0)
+            labels[int(np.argmax(dist_to_own))] = cid
 
 
 def kmeans(points, k: int, restarts: int = 10, seed=None) -> ClusterAssignment:
     """Best-of-``restarts`` K-means with K-means++ initialization.
 
     Returns the restart with the lowest inertia; ties keep the earlier
-    restart, so a result is fully determined by the seed.
+    restart, so a result is fully determined by the seed.  Restart r draws
+    from its own generator, built from child r of ``seed``'s spawn.  The
+    restarts run in lockstep (see the module docstring), and each one ends
+    as it would alone: cluster sums come from a weighted ``np.bincount``,
+    which adds a cluster's points in index order as a per-cluster mean does.
     """
     points = np.asarray(points, dtype=float)
     if points.size == 0:
@@ -132,12 +154,58 @@ def kmeans(points, k: int, restarts: int = 10, seed=None) -> ClusterAssignment:
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    best = None
-    for child in root.spawn(restarts):
-        result = _lloyd(points, k, np.random.default_rng(child))
-        if best is None or result.inertia < best.inertia:
-            best = result
-    return best
+    n = len(points)
+    xy = np.ascontiguousarray(points.T)
+    # Generator(PCG64(child)) is what default_rng(child) builds, at half the cost
+    rngs = [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(restarts)]
+    centroids = _kmeanspp(xy, k, rngs)
+    weights = np.tile(xy, restarts)  # x and y of every point, once per restart
+    offsets = k * np.arange(restarts)[:, None]  # restart r's clusters are slots r*k..r*k+k-1
+    final_labels = np.empty((restarts, n), dtype=np.intp)
+    final_centroids = np.empty_like(centroids)
+    history = np.empty((restarts, LLOYD_MAX_ITER))
+    iterations = np.zeros(restarts, dtype=int)
+    active = np.arange(restarts)
+    prev = None
+    for it in range(LLOYD_MAX_ITER):
+        a = len(active)
+        d2 = _squared_distances(xy, centroids)
+        labels = np.argmin(d2, axis=1)  # ties break toward the lowest id
+        slots = (labels + offsets[:a]).ravel()
+        counts = np.bincount(slots, minlength=a * k)
+        if not counts.all():
+            for row in np.flatnonzero((counts.reshape(a, k) == 0).any(axis=1)):
+                _reseed_empty(labels[row], d2[row], k)
+            slots = (labels + offsets[:a]).ravel()
+            counts = np.bincount(slots, minlength=a * k)
+        sums = np.stack([np.bincount(slots, weights=w[:a * n], minlength=a * k)
+                         for w in weights], axis=1)
+        new_centroids = (sums / counts[:, None]).reshape(a, k, 2)
+        inertia = _inertia(points, new_centroids, slots)
+        if prev is not None:
+            rose = ~(inertia <= prev + 1e-9 * np.maximum(1.0, prev))
+            if rose.any():
+                i = int(np.argmax(rose))
+                raise InvariantError(f"K-means inertia increased between Lloyd iterations "
+                                     f"of restart {active[i]}: {float(prev[i])!r} -> "
+                                     f"{float(inertia[i])!r}")
+        history[active, it] = inertia
+        movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=2)).max(axis=1)
+        done = (movement < 1e-9) | (it == LLOYD_MAX_ITER - 1)
+        if done.any():
+            finished = active[done]
+            final_labels[finished] = labels[done]
+            final_centroids[finished] = new_centroids[done]
+            iterations[finished] = it + 1
+            moving = ~done
+            active, new_centroids, inertia = active[moving], new_centroids[moving], inertia[moving]
+            if not len(active):
+                break
+        centroids, prev = new_centroids, inertia
+    inertias = history[np.arange(restarts), iterations - 1].tolist()
+    best = min(range(restarts), key=inertias.__getitem__)
+    return ClusterAssignment(final_labels[best].copy(), final_centroids[best].copy(),
+                             inertias[best], tuple(history[best, :iterations[best]].tolist()))
 
 
 def centroid_of(inst: Instance, indices) -> tuple:

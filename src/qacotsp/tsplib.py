@@ -251,9 +251,12 @@ def write_atomic(path, text: str) -> None:
         with open(tmp, "x", encoding="utf-8", newline="\n") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # name the file the caller asked for, not the temporary one
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

@@ -386,6 +386,15 @@ def test_cli_gen_random_roundtrip(tmp_path):
     assert np.allclose(inst.coords, direct.coords, atol=1e-9)
 
 
+def test_cli_gen_random_into_missing_directory_names_the_path(tmp_path, capsys):
+    path = tmp_path / "nodir" / "x.tsp"
+    assert cli.main(["gen-random", "--n", "5", "--seed", "1", "--bound", "10",
+                     "--path", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(path)!r}\n")
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_cli_estimate_error(tmp_path, capsys):
     code = cli.main(["estimate-error", "--preset", "heron-4city"])
     assert code == 0
@@ -564,6 +573,14 @@ def test_cli_noise_sweep_rejects_empty_levels_before_writing(tmp_path, capsys):
                      "--seeds", "0", "--out", str(out), "--config", str(path)]) == 2
     assert not out.exists()
     assert "noise level" in capsys.readouterr().err
+
+
+def test_cli_noise_sweep_rejects_a_repeated_level_before_writing(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert cli.main(["noise-sweep", "--instance", "random:6:1:100", "--noise", "bitflip",
+                     "--seeds", "0", "--levels", "0.1,0.1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "levels must differ" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

@@ -5,7 +5,8 @@ module attribute that holds a traced function.  A solver that ran a private
 copy of an operator would leave that layer at 0 calls in every trace; this
 test fails instead.  The repair kernel ``qaco._repair`` is counted the
 same way: the solver calls it once per repaired measurement, and the
-bitstring boundary ``repair_infeasible`` once per call.
+bitstring boundary ``repair_infeasible`` once per call.  The cluster tree
+reaches ``cluster.kmeans`` by its module name once per node it splits.
 """
 
 import functools
@@ -15,7 +16,7 @@ import pkgutil
 import numpy as np
 
 import qacotsp
-from qacotsp import aco, qaco
+from qacotsp import aco, cluster, qaco
 from qacotsp.aco import AcoParams
 from qacotsp.tsplib import MetricMode, Tour, gen_random_instance
 
@@ -72,3 +73,14 @@ def test_repair_infeasible_runs_the_solver_repair_once_per_call(monkeypatch):
             pool.add(Tour(tour), qaco.encode_tour(Tour(tour), 4), float(n))
         assert qaco.repair_infeasible("11111111", pool, iteration, 4, rng) is not None
         assert calls["qaco._repair"] == n
+
+
+def test_cluster_tree_calls_kmeans_once_per_inner_node(monkeypatch):
+    def inner_nodes(tree):
+        return 0 if tree.is_leaf else 1 + sum(map(inner_nodes, tree.children))
+
+    inst = gen_random_instance(200, 3, 1000.0)
+    expected = cluster.build_cluster_tree(inst, seed=2)
+    calls = wrap_calls(monkeypatch, ("cluster.kmeans",))
+    assert cluster.build_cluster_tree(inst, seed=2) == expected
+    assert calls["cluster.kmeans"] == inner_nodes(expected) > 1

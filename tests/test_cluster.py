@@ -153,10 +153,28 @@ def test_tree_coincident_points_terminates():
 
 def test_kmeans_raises_when_inertia_increases(monkeypatch):
     counter = itertools.count()
-    monkeypatch.setattr(cluster, "_inertia", lambda *args: float(next(counter)))
+    # _inertia returns one inertia per restart still moving
+    monkeypatch.setattr(cluster, "_inertia",
+                        lambda points, centroids, slots: np.full(len(centroids),
+                                                                 float(next(counter))))
     points = gen_random_instance(20, 5, 100.0).coords
     with pytest.raises(InvariantError):
         kmeans(points, 3, restarts=1, seed=0)
+
+
+def test_kmeans_raises_when_only_a_later_restart_inertia_increases(monkeypatch):
+    counter = itertools.count()
+    inertia = cluster._inertia
+
+    def last_restart_rises(points, centroids, slots):
+        out = inertia(points, centroids, slots)
+        out[-1] += 1e6 * next(counter)  # the last restart still moving
+        return out
+
+    points = gen_random_instance(20, 5, 100.0).coords
+    monkeypatch.setattr(cluster, "_inertia", last_restart_rises)
+    with pytest.raises(InvariantError, match="of restart 2: "):
+        kmeans(points, 3, restarts=3, seed=0)
 
 
 @pytest.mark.parametrize("bad_labels", [

@@ -2,8 +2,8 @@
 
 ``-O`` strips ``assert`` statements, so the package checks its invariants
 with explicit raises.  One test keeps ``assert`` out of the package source;
-two others run invariant triggers (the cluster split and the stitch) in an
-optimized interpreter.  Another keeps environment reads (``os.environ``,
+three others run invariant triggers (the cluster split, the K-means inertia
+and the stitch) in an optimized interpreter.  Another keeps environment reads (``os.environ``,
 ``os.getenv``) out of the package, so no hidden knob changes what a run does.
 The last ones hold the package to what the benchmark in ``perfbench/`` calls
 and traces, so dropping or renaming such a function fails here, not only
@@ -58,6 +58,19 @@ except tsplib.InvariantError as exc:
     print("raised:", exc)
 """
 
+INERTIA_TRIGGER = """
+import itertools
+import numpy as np
+from qacotsp import cluster, tsplib
+assert False, "assert statements must be stripped under -O"
+counter = itertools.count()
+cluster._inertia = lambda points, centroids, slots: np.full(len(centroids), float(next(counter)))
+try:
+    cluster.kmeans(tsplib.gen_random_instance(20, 5, 100.0).coords, 3, restarts=1, seed=0)
+except tsplib.InvariantError as exc:
+    print("raised:", exc)
+"""
+
 STITCH_TRIGGER = """
 from qacotsp import hybrid, tsplib
 assert False, "assert statements must be stripped under -O"
@@ -82,6 +95,11 @@ def run_optimized(code: str) -> str:
 def test_invariant_raises_under_python_O():
     out = run_optimized(TRIGGER)
     assert out.startswith("raised: part 0 of a 12-city node"), out
+
+
+def test_kmeans_inertia_invariant_raises_under_python_O():
+    out = run_optimized(INERTIA_TRIGGER)
+    assert out.startswith("raised: K-means inertia increased"), out
 
 
 def test_stitch_invariant_raises_under_python_O():

@@ -252,3 +252,22 @@ def test_failed_save_keeps_the_existing_file(tmp_path, monkeypatch):
         save_instance(gen_random_instance(50, 2, 100.0), path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["inst.tsp"]
+
+
+def test_save_into_missing_directory_names_the_target(tmp_path):
+    path = tmp_path / "nodir" / "x.tsp"
+    with pytest.raises(FileNotFoundError) as info:
+        save_instance(gen_random_instance(5, 1, 10.0), path)
+    assert info.value.filename == str(path)
+    assert str(info.value).endswith(f"No such file or directory: {str(path)!r}")
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_replace_names_the_target_once(tmp_path):
+    path = tmp_path / "taken"
+    path.mkdir()  # a directory cannot be replaced by a file
+    with pytest.raises(OSError) as info:
+        save_instance(gen_random_instance(5, 1, 10.0), path)
+    assert (info.value.filename, info.value.filename2) == (str(path), None)
+    assert ".tmp" not in str(info.value)
+    assert os.listdir(tmp_path) == ["taken"]
