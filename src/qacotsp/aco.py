@@ -109,9 +109,14 @@ def heuristic_matrix(D: np.ndarray) -> np.ndarray:
 
 
 def _weights(tau: np.ndarray, eta_beta: np.ndarray, alpha: float) -> np.ndarray:
-    """W = tau^alpha * eta^beta element by element, for a whole matrix or a gathered row."""
-    W = tau ** alpha
-    W *= eta_beta
+    """W = tau^alpha * eta^beta element by element, for a whole matrix or a gathered row.
+
+    An overflow or a 0 * inf is left in ``W`` silently: ``aco_solve`` checks
+    ``W`` for non-finite weights and raises ``NonFiniteWeights``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = tau ** alpha
+        W *= eta_beta
     return W
 
 
@@ -227,7 +232,8 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
         raise InvalidTour(f"initial tour has {len(initial_tour)} cities, not {k}")
     if D is None:
         D = distance_matrix(inst, metric, indices)
-    eta_beta = heuristic_matrix(D) ** params.beta
+    with np.errstate(over="ignore"):  # an inf here shows as a non-finite weight
+        eta_beta = heuristic_matrix(D) ** params.beta
     tau = init_pheromone(k, params.tau0)
 
     best_tour = None

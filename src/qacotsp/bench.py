@@ -7,11 +7,18 @@ of the CSV is always 0 so repeated runs with the same seeds are byte
 identical; look in the JSON for real timings.  Every output file is written
 to a temporary file beside it and renamed over it, so a reader never sees a
 partly written file.
+
+Config values are checked here, before anything runs: ``check_value``
+checks a value against a kind (a top-level key's flag type, the type of a
+parameter-block field's default, or an int for a layers file's ``m``), and
+``choose`` turns a name into its member (a metric, a noise kind or a
+refinement), each with an error that names the key.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import os
 import time
@@ -26,7 +33,7 @@ from .circuit_error import (
     layer,
     qaco_circuit_layers,
 )
-from .hybrid import HybridConfig, LeafSolver, Refinement, solve_hybrid
+from .hybrid import HybridConfig, LeafSolver, solve_hybrid
 from .qaco import QacoParams
 from .qsim import NoiseKind, NoiseSpec
 from .tsplib import (
@@ -48,6 +55,9 @@ DEFAULT_NOISE_LEVELS = (0.001, 0.01, 0.02, 0.05, 0.10)
 # the others from the solver name, the seed, the noise and the metric.
 HYBRID_KEYS = ("refinement", "two_opt_max_passes", "polish_iterations", "leaf_max",
                "branching", "kmeans_restarts")
+# The JSON types a config value of each kind may have (never a bool), named.
+_KINDS = {str: (str, "a string", "strings"), int: (int, "an int", "ints"),
+          float: ((int, float), "a number", "numbers")}
 
 
 class ConfigError(ValueError):
@@ -95,18 +105,11 @@ def resolve_instance(spec: str) -> Instance:
 
 
 def parse_metric(name: str) -> MetricMode:
-    try:
-        return {"canonical": MetricMode.CANONICAL, "paper": MetricMode.PLAIN}[name]
-    except (KeyError, TypeError):
-        raise ConfigError(f"unknown metric {name!r} (expected canonical|paper)")
+    return choose(name, {"canonical": MetricMode.CANONICAL, "paper": MetricMode.PLAIN}, "metric")
 
 
 def parse_noise(kind: str, rate: float) -> NoiseSpec:
-    try:
-        noise_kind = NoiseKind(kind)
-    except ValueError:
-        raise ConfigError(f"unknown noise kind {kind!r} "
-                          f"(expected {'|'.join(k.value for k in NoiseKind)})")
+    noise_kind = choose(kind, {k.value: k for k in NoiseKind}, "noise kind")
     return NoiseSpec(noise_kind, rate if noise_kind is not NoiseKind.NONE else 0.0)
 
 
@@ -163,13 +166,17 @@ def run_cells(cells, metric: MetricMode, out_dir: str, qaco_params: QacoParams,
     """Run ``(instance, solver, seed, noise)`` cells in order; append their records.
 
     The records go to ``results.csv`` and ``results.json`` in ``out_dir``.
-    An empty cell list (an empty seed list, say) and an existing file that
-    cannot take the append are ``ConfigError``, and a hybrid setting out of
-    range for one of the cells' solvers is ``ValueError``.  Each is raised
-    before any cell runs, and then neither file is touched.
+    An empty cell list (an empty seed list, say), a negative seed and an
+    existing file that cannot take the append are ``ConfigError``, and a
+    hybrid setting out of range for one of the cells' solvers is
+    ``ValueError``.  Each is raised before any cell runs, and then neither
+    file is touched.
     """
     if not cells:
         raise ConfigError("no runs to do: the seed list is empty")
+    lowest = min(seed for _, _, seed, _ in cells)
+    if lowest < 0:
+        raise ConfigError(f"seeds must be non-negative, got {lowest}")
     for solver in sorted({solver for _, solver, _, _ in cells} - {"aco"}):
         _hybrid_config(solver, qaco_params, aco_params, hybrid_overrides)
     csv_path = os.path.join(out_dir, "results.csv")
@@ -390,8 +397,8 @@ def _parse_layers(raw) -> list:
                 raise ConfigError(f"{what}: each gate must be [name, int count, number rate], "
                                   f"got {gate!r}")
         m = entry.get("m")
-        if m is not None and not is_json(m, int):
-            raise ConfigError(f"{what} key 'm' must be an int, got {m!r}")
+        if m is not None:
+            check_value("m", m, int, what)
         layers.append(layer(gates, m=m))
     return layers
 
@@ -475,42 +482,44 @@ def check_keys(block, allowed, what: str) -> dict:
     return block
 
 
-def check_fields(block, defaults, allowed, what: str) -> dict:
-    """``block`` if ``check_keys`` passes it and each number has its field's type.
+def check_value(key, value, kind, what: str, item=None) -> None:
+    """Refuse a config value unless it is a JSON ``kind`` (one of ``_KINDS``) or a
+    list of ``item``s.  No kind takes a bool, which JSON ``true`` would pass as 1."""
+    if is_json(value, _KINDS[kind][0]) or (item and isinstance(value, list) and all(
+            is_json(v, _KINDS[item][0]) for v in value)):
+        return
+    expected = _KINDS[kind][1] + (f" or a list of {_KINDS[item][2]}" if item else "")
+    raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
 
-    A field's type is that of its value in ``defaults``.  An int field takes
-    an ``int`` and a float field an ``int`` or a ``float``; neither takes a
-    ``bool``, which JSON ``true`` would pass as 1.  Otherwise ``ConfigError``
-    names the key and the expected type.
-    """
-    for key, value in check_keys(block, allowed, what).items():
+
+def choose(value, choices: dict, what: str):
+    """``choices[value]``, or ``ConfigError`` naming ``what`` and the allowed names."""
+    try:
+        return choices[value]
+    except (KeyError, TypeError):
+        raise ConfigError(f"unknown {what} {value!r} (expected {'|'.join(choices)})")
+
+
+def _check_block(block, defaults, allowed, what: str) -> dict:
+    """The fields a config block sets (``check_keys`` first), each checked against
+    its default's type; an enum field's member is chosen by its value."""
+    out = dict(check_keys(block, allowed, what))
+    for key, value in out.items():
         kind = type(getattr(defaults, key))
-        if kind in (int, float) and not is_json(value, (int, kind)):
-            expected = "an int" if kind is int else "a number"
-            raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
-    return block
+        if issubclass(kind, enum.Enum):
+            out[key] = choose(value, {m.value: m for m in kind}, key)
+        else:
+            check_value(key, value, kind, what)
+    return out
 
 
 def build_params(params, overrides: dict, what: str):
     """``params`` with the fields a config block ``what`` sets replaced."""
     fields = [f.name for f in dataclasses.fields(params)]
-    return dataclasses.replace(params, **check_fields(overrides, params, fields, what))
+    return dataclasses.replace(params, **_check_block(overrides, params, fields, what))
 
 
 def build_hybrid_overrides(overrides: dict):
-    """A config's ``hybrid`` block as ``HybridConfig`` keywords, or None if empty.
-
-    The block must be a JSON object that sets only ``HYBRID_KEYS``.
-    ``refinement`` is converted from its name (``"aco-polish"``) to the
-    ``Refinement`` member.
-    """
-    out = dict(check_fields(overrides, HybridConfig(), HYBRID_KEYS, "hybrid"))
-    if not out:
-        return None
-    if "refinement" in out:
-        names = [r.value for r in Refinement]
-        if out["refinement"] not in names:
-            raise ConfigError(f"unknown refinement {out['refinement']!r} "
-                              f"(expected {'|'.join(names)})")
-        out["refinement"] = Refinement(out["refinement"])
-    return out
+    """A config's ``hybrid`` block, a JSON object that sets only ``HYBRID_KEYS``,
+    as ``HybridConfig`` keywords, or None if empty."""
+    return _check_block(overrides, HybridConfig(), HYBRID_KEYS, "hybrid") or None

@@ -7,7 +7,8 @@ makes the flags from it.  A --config JSON file may set exactly the command's
 keys, and explicit flags win over config values.  A config value must have
 its key's type: a string for a string flag (a comma-list flag also takes a
 JSON list of its items), an int for an int flag, a number for a float flag,
-and never a bool.
+and never a bool.  ``bench.check_value`` checks it; ``bench`` also checks
+and converts the fields of the parameter blocks.
 """
 
 from __future__ import annotations
@@ -72,22 +73,6 @@ COMMANDS = {
         "bound": Key(1000.0, float, "coordinate bound"),
         "path": Key(REQUIRED, str, "output .tsp path")}),
 }
-# The JSON types a config value of each flag type may have (never a bool), named.
-_KINDS = {str: (str, "a string", "strings"), int: (int, "an int", "ints"),
-          float: ((int, float), "a number", "numbers")}
-
-
-def _check_value(key, spec: Key, value, what: str) -> None:
-    """Refuse a config value unless it has its flag's type, is a list of the
-    flag's items, or is None where that is the default."""
-    def fits(v, kind):
-        return bench.is_json(v, _KINDS[kind][0])
-    if fits(value, spec.type) or (value is None and spec.default is None) or (
-            spec.item and isinstance(value, list) and all(fits(v, spec.item) for v in value)):
-        return
-    expected = _KINDS[spec.type][1] + (f" or a list of {_KINDS[spec.item][2]}" if spec.item
-                                       else "")
-    raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
 
 
 def _merged(args):
@@ -99,8 +84,9 @@ def _merged(args):
         with open(args.config, "r", encoding="utf-8") as f:
             config = bench.check_keys(json.load(f), list(keys), what)
         for key, value in config.items():
-            if keys[key].type:
-                _check_value(key, keys[key], value, what)
+            spec = keys[key]
+            if spec.type and (value is not None or spec.default is not None):
+                bench.check_value(key, value, spec.type, what, spec.item)
         merged.update(config)
     for key, value in vars(args).items():
         if key in ("config", "command") or value is None:

@@ -38,6 +38,10 @@ class NonNumericCoordinate(TsplibError):
     pass
 
 
+class NonFiniteDistance(TsplibError):
+    """Two cities lie so far apart that their distance overflows to inf."""
+
+
 class IndexOutOfRange(IndexError):
     pass
 
@@ -203,9 +207,12 @@ def parse_instance(text: str) -> Instance:
         if len(parts) != 3:
             raise DimensionMismatch(f"expected 'id x y', got: {line!r}")
         try:
-            node_id = int(float(parts[0]))
+            node_id = float(parts[0])
+            if not node_id.is_integer():  # 1.5, inf and nan are no ids
+                raise ValueError(node_id)
         except ValueError:
             raise NonNumericCoordinate(f"bad node id in line: {line!r}")
+        node_id = int(node_id)
         try:
             x, y = float(parts[1]), float(parts[2])
         except ValueError:
@@ -290,11 +297,13 @@ def distance_matrix(inst: Instance, mode: MetricMode = MetricMode.CANONICAL,
     Over all cities, or over just ``indices`` in their given order: entry
     (i, j) is then the distance of cities ``indices[i]`` and ``indices[j]``,
     bit for bit the entry of the full matrix, at O(k^2) cost for k indices.
+    Cities so far apart that their distance overflows are ``NonFiniteDistance``.
     """
     xy = inst.coords if indices is None else inst.coords[np.asarray(indices, dtype=int)]
     if mode is MetricMode.PLAIN or inst.edge_weight_type == "EUC_2D":
         diff = xy[:, None, :] - xy[None, :, :]
-        d = np.sqrt((diff ** 2).sum(axis=2))
+        with np.errstate(over="ignore"):  # refused below
+            d = np.sqrt((diff ** 2).sum(axis=2))
         if mode is MetricMode.CANONICAL:
             d = np.floor(d + 0.5)
     else:  # GEO, canonical
@@ -306,6 +315,9 @@ def distance_matrix(inst: Instance, mode: MetricMode = MetricMode.CANONICAL,
         arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
         d = np.trunc(_GEO_RADIUS * np.arccos(arg) + 1.0)
         np.fill_diagonal(d, 0.0)
+    if not np.isfinite(d).all():
+        raise NonFiniteDistance(f"{inst.name}: a distance overflows; the coordinates "
+                                "lie too far apart")
     return d
 
 
@@ -361,8 +373,10 @@ def gen_random_instance(n: int, seed: int, bound: float = 1000.0) -> Instance:
     """
     if n < 2:
         raise InvalidCount(f"need at least 2 cities, got {n}")
-    if bound <= 0:
-        raise InvalidCount(f"bound must be positive, got {bound}")
+    if seed < 0:
+        raise InvalidCount(f"seed must be non-negative, got {seed}")
+    if not 0 < bound < math.inf:
+        raise InvalidCount(f"bound must be positive and finite, got {bound}")
     rng = np.random.default_rng(seed)
     coords = rng.uniform(0.0, bound, size=(n, 2))
     return Instance(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -540,6 +541,81 @@ def test_cli_bad_range_exits_2_before_any_solve(command, config, key, tmp_path, 
                                "--config", str(path)]) == 2
     assert not out.exists()
     assert key in capsys.readouterr().err
+
+
+def _forbid_solves(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(bench, "solve_hybrid", no_solve)
+    monkeypatch.setattr(bench, "aco_solve", no_solve)
+
+
+# Every field a parameter block of the config may set.
+BLOCK_FIELDS = ([("qaco_params", f.name) for f in dataclasses.fields(QacoParams)]
+                + [("aco_params", f.name) for f in dataclasses.fields(AcoParams)]
+                + [("hybrid", key) for key in bench.HYBRID_KEYS])
+
+
+@pytest.mark.parametrize("value", [True, "1"], ids=["true", "string"])
+@pytest.mark.parametrize("block, key", BLOCK_FIELDS,
+                         ids=[f"{block}.{key}" for block, key in BLOCK_FIELDS])
+def test_cli_block_field_of_the_wrong_type_exits_2_before_writing(block, key, value,
+                                                                  tmp_path, capsys,
+                                                                  monkeypatch):
+    _forbid_solves(monkeypatch)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({block: {key: value}}))
+    out = tmp_path / "runs"
+    assert cli.main(["solve", "--instance", "random:8:5:100", "--seeds", "0",
+                     "--out", str(out), "--config", str(path)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"{block} key {key!r} must be" in err or f"unknown {key} {value!r}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--instance", "random:30:1:100", "--solver", "aco"],
+    ["compare", "--datasets", "random:30:1:100"],
+    ["noise-sweep", "--instance", "random:30:1:100", "--noise", "bitflip"],
+], ids=["solve", "compare", "noise-sweep"])
+def test_cli_negative_seed_exits_2_before_any_solve(command, tmp_path, capsys, monkeypatch):
+    _forbid_solves(monkeypatch)
+    out = tmp_path / "runs"
+    assert cli.main(command + ["--seeds", "0,-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: seeds must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["gen-random", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["gen-random", "--n", "5", "--bound", "nan"], "bound must be positive and finite, got nan"),
+    (["solve", "--instance", "random:8:5:nan"], "bound must be positive and finite, got nan"),
+    (["solve", "--instance", "random:8:5:inf"], "bound must be positive and finite, got inf"),
+], ids=["gen-random-seed", "gen-random-bound-nan", "solve-bound-nan", "solve-bound-inf"])
+def test_cli_bad_random_instance_exits_2_before_writing(command, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    where = "--path" if command[0] == "gen-random" else "--out"
+    assert cli.main(command + [where, str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("solver", list(bench.SOLVERS))
+@pytest.mark.parametrize("instance", ["random:8:5:1e200", "far.tsp"])
+def test_cli_distances_that_overflow_exit_2_before_writing(instance, solver, tmp_path,
+                                                           capsys):
+    # The coordinates are finite, but the square of their difference is not.
+    (tmp_path / "far.tsp").write_text(
+        "NAME : far\nTYPE : TSP\nDIMENSION : 5\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+        "NODE_COORD_SECTION\n1 0 0\n2 1e200 0\n3 1 1\n4 2 0\n5 0 3\nEOF\n")
+    out = tmp_path / "runs"
+    if instance.endswith(".tsp"):
+        instance = str(tmp_path / instance)
+    assert cli.main(["solve", "--instance", instance, "--solver", solver, "--seeds", "0",
+                     "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "a distance overflows" in capsys.readouterr().err
 
 
 def test_hybrid_leaf_max_above_four_needs_a_classical_leaf_solver(tmp_path):

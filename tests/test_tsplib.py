@@ -13,6 +13,7 @@ from qacotsp.tsplib import (
     InvalidTour,
     MalformedHeader,
     MetricMode,
+    NonFiniteDistance,
     NonNumericCoordinate,
     Tour,
     UnsupportedEdgeWeightType,
@@ -69,6 +70,17 @@ def test_parse_non_numeric():
     text = MINIMAL_3.replace("2 3 0", "2 x 0")
     with pytest.raises(NonNumericCoordinate):
         parse_instance(text)
+
+
+@pytest.mark.parametrize("node_id", ["1.5", "inf", "nan", "x"])
+def test_parse_refuses_a_node_id_that_is_no_integer(node_id):
+    with pytest.raises(NonNumericCoordinate, match="bad node id"):
+        parse_instance(MINIMAL_3.replace("\n1 0 0", f"\n{node_id} 0 0"))
+
+
+def test_parse_takes_an_integral_float_node_id():
+    inst = parse_instance(MINIMAL_3.replace("\n1 0 0", "\n1.0 0 0"))
+    assert inst.coords.tolist() == parse_instance(MINIMAL_3).coords.tolist()
 
 
 def test_parse_missing_header():
@@ -228,6 +240,24 @@ def test_gen_random_bounds():
         gen_random_instance(1, 0, 1.0)
     with pytest.raises(InvalidCount):
         gen_random_instance(5, 0, 0.0)
+
+
+@pytest.mark.parametrize("seed, bound", [(-1, 1.0), (0, math.nan), (0, math.inf),
+                                         (0, -math.inf)])
+def test_gen_random_refuses_a_negative_seed_and_a_bound_that_is_not_finite(seed, bound):
+    with pytest.raises(InvalidCount, match="seed" if seed < 0 else "bound"):
+        gen_random_instance(5, seed, bound)
+
+
+@pytest.mark.parametrize("mode", list(MetricMode))
+def test_distance_matrix_refuses_distances_that_overflow(mode):
+    # The coordinates are finite, but the square of their difference is not.
+    inst = Instance("far", 3, "EUC_2D", np.array([[0.0, 0.0], [1e200, 1.0], [2.0, 0.0]]))
+    with pytest.raises(NonFiniteDistance, match="far"):
+        distance_matrix(inst, mode)
+    with pytest.raises(NonFiniteDistance):
+        distance_matrix(inst, mode, [1, 2])
+    assert distance_matrix(inst, mode, [0, 2])[0, 1] == 2.0
 
 
 def test_format_parse_roundtrip():
