@@ -166,17 +166,22 @@ def run_cells(cells, metric: MetricMode, out_dir: str, qaco_params: QacoParams,
     """Run ``(instance, solver, seed, noise)`` cells in order; append their records.
 
     The records go to ``results.csv`` and ``results.json`` in ``out_dir``.
-    An empty cell list (an empty seed list, say), a negative seed and an
-    existing file that cannot take the append are ``ConfigError``, and a
-    hybrid setting out of range for one of the cells' solvers is
-    ``ValueError``.  Each is raised before any cell runs, and then neither
-    file is touched.
+    An empty cell list (an empty seed list, say), a negative seed, a cell
+    listed twice (a repeated seed, say) and an existing file that cannot
+    take the append are ``ConfigError``, and a hybrid setting out of range
+    for one of the cells' solvers is ``ValueError``.  Each is raised before
+    any cell runs, and then neither file is touched.
     """
     if not cells:
         raise ConfigError("no runs to do: the seed list is empty")
     lowest = min(seed for _, _, seed, _ in cells)
     if lowest < 0:
         raise ConfigError(f"seeds must be non-negative, got {lowest}")
+    seen = set()
+    for inst, solver, seed, noise in cells:
+        if (inst.name, solver, seed, noise) in seen:
+            raise ConfigError(f"seeds must be distinct, got {seed} twice")
+        seen.add((inst.name, solver, seed, noise))
     for solver in sorted({solver for _, solver, _, _ in cells} - {"aco"}):
         _hybrid_config(solver, qaco_params, aco_params, hybrid_overrides)
     csv_path = os.path.join(out_dir, "results.csv")

@@ -29,7 +29,11 @@ the measurement, then, if the code is infeasible, the repair's
 the pool is empty) or one ``rng.random()`` (the Hamming rule).  Once stalled
 it draws, per ant, one ``rng.random(1 + m)`` call for the mutation angle and
 the ancilla's measurement, then ``rng.integers(2k)`` only when the ancilla
-reads 1.  The rotation draws nothing.
+reads 1.  The rotation draws nothing.  ``rng`` is a ``qsim.DrawReplay``
+over the PCG64 generator that ``default_rng(seed)`` would build: it reads
+the generator's raw words in blocks and returns what each of these
+``Generator`` calls would, so the order and number of draws, and every
+value, are those of the calls above.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .qsim import (
     NO_NOISE,
     THETA_MAX,
     THETA_MIN,
+    DrawReplay,
     NoiseSpec,
     code_from_draws,
     draws_per_qubit,
@@ -95,6 +100,14 @@ class LengthMismatch(ValueError):
 
 class EncodingMismatch(ValueError):
     """Pool bits that are not the 2-bit encoding of the pooled tour."""
+
+
+class SharedGenerator(TypeError):
+    """A numpy ``Generator`` or ``BitGenerator`` passed to ``qaco_solve`` as its seed.
+
+    The solver reads its generator's words ahead of use, so it would leave
+    a caller's generator advanced past the draws it made.
+    """
 
 
 class RepairError(ValueError):
@@ -232,7 +245,8 @@ def _repair_cdf(distances) -> list:
     return np.cumsum(probs).tolist()
 
 
-def _repair(code: int, pool: SolutionPool, iteration: int, k: int, rng: np.random.Generator) -> int:
+def _repair(code: int, pool: SolutionPool, iteration: int, k: int,
+            rng: np.random.Generator | DrawReplay) -> int:
     """Code of the feasible tour that replaces the infeasible measurement ``code``.
 
     The ``_repair_cdf`` of ``code`` against ``pool.codes`` is cached in the
@@ -241,7 +255,7 @@ def _repair(code: int, pool: SolutionPool, iteration: int, k: int, rng: np.rando
     """
     codes = pool.codes
     if iteration <= RANDOM_FEASIBLE_WINDOW or not codes:
-        return _encode(rng.permutation(k).tolist())
+        return _encode(map(int, rng.permutation(k)))
     cdf = pool.code_cdfs.get(code)
     if cdf is None:
         d = tuple([(code ^ c).bit_count() for c in codes])
@@ -254,7 +268,7 @@ def _repair(code: int, pool: SolutionPool, iteration: int, k: int, rng: np.rando
 
 
 def repair_infeasible(bits: str, pool: SolutionPool, iteration: int, k: int,
-                      rng: np.random.Generator) -> Tour:
+                      rng: np.random.Generator | DrawReplay) -> Tour:
     """Replace an infeasible measurement with a feasible tour.
 
     Up to iteration ``RANDOM_FEASIBLE_WINDOW`` (or while the pool is empty)
@@ -300,21 +314,34 @@ def rotation_update(thetas: list, x: int, b: int, worse: bool) -> list:
     return new
 
 
-def maybe_mutate(code: int, n_bits: int, noise: NoiseSpec, rng: np.random.Generator) -> int:
+def maybe_mutate(code: int, n_bits: int, noise: NoiseSpec,
+                 rng: np.random.Generator | DrawReplay) -> int:
     """Ancilla-gated one-bit flip of an int code of ``n_bits`` bits.
 
     A mutation angle is drawn uniformly from [0, pi/2] and loaded on the
     ancilla; if the measured ancilla reads 1, one uniformly chosen bit is
     flipped (the Pauli-X analog on the sampled path).  The caller applies
     the stall gate.  One ``rng.random(1 + draws_per_qubit(noise))`` call
-    draws the angle and then the ancilla's ``code_from_draws`` draws:
-    numpy's ``uniform(0, pi/2)`` is ``0.0 + (pi/2) * random()``, which
-    equals ``(pi/2) * random()`` bit for bit.  Only when the ancilla reads 1
-    does ``rng.integers(n_bits)`` pick the bit to flip.
+    draws the angle and then the ancilla's measurement draws: numpy's
+    ``uniform(0, pi/2)`` is ``0.0 + (pi/2) * random()``, which equals
+    ``(pi/2) * random()`` bit for bit.  The ancilla's probability of
+    reading 1 is ``measurement_probabilities`` of that one angle; without
+    noise the ancilla reads 1 when its draw is below it, and under noise
+    ``code_from_draws`` decides.  Only when the ancilla reads 1 does
+    ``rng.integers(n_bits)`` pick the bit to flip.  ``rng`` is a numpy
+    ``Generator`` or a ``qsim.DrawReplay``; the result is an ``int``.
     """
-    draws = rng.random(1 + draws_per_qubit(noise)).tolist()
-    theta_m = (math.pi / 2.0) * draws[0]
-    if code_from_draws(draws[1:], *measurement_probabilities([theta_m]), noise):
+    m = draws_per_qubit(noise)
+    draws = rng.random(1 + m)
+    half = (math.pi / 2.0) * draws[0] / 2.0
+    a0, a1 = float(np.cos(half)), float(np.sin(half))
+    c2, s2 = a0 * a0, a1 * a1
+    p1 = s2 / (c2 + s2)
+    if m == 1:
+        fires = draws[1] < p1
+    else:
+        fires = code_from_draws(draws[1:], [p1], [c2 / (s2 + c2)], noise)
+    if fires:
         code ^= 1 << (n_bits - 1 - int(rng.integers(n_bits)))
     return code
 
@@ -330,8 +357,12 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
     gate and finally rotate the register toward the global best using the
     iteration best.  Stops at max_iter or once the global best has not
     improved for convergence_window iterations.  The returned tour is in
-    local 0..k-1 positions relative to ``indices``.
+    local 0..k-1 positions relative to ``indices``.  ``seed`` is anything
+    ``np.random.default_rng`` takes except a generator, which raises
+    ``SharedGenerator``.
     """
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise SharedGenerator(f"seed must not be a generator, got {type(seed).__name__}")
     indices = list(indices)
     k = len(indices)
     if k < 2:
@@ -346,7 +377,7 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
         length = cycle_length(D, tour.order)
         return QacoResult(tour, length, 0, [length], 0, 0)
 
-    rng = np.random.default_rng(seed)
+    rng = DrawReplay(np.random.PCG64(seed))
     n_bits = 2 * k
     tours = _decode_table(k)
     lengths = [None if t is None else cycle_length(D, t.order) for t in tours]
@@ -368,7 +399,7 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
         iter_len, iter_idx = math.inf, 0
         codes = []
         for ant in range(params.n_ants):
-            code = code_from_draws(random(sample_draws).tolist(), p1, q1, noise)
+            code = code_from_draws(random(sample_draws), p1, q1, noise)
             if tours[code] is None:
                 code = _repair(code, pool, it, k, rng)
                 repairs += 1

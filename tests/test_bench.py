@@ -587,6 +587,20 @@ def test_cli_negative_seed_exits_2_before_any_solve(command, tmp_path, capsys, m
     assert capsys.readouterr().err == "error: seeds must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--instance", "random:8:5:100", "--solver", "aco"],
+    ["compare", "--datasets", "random:30:1:100"],
+    ["noise-sweep", "--instance", "random:30:1:100", "--noise", "bitflip"],
+], ids=["solve", "compare", "noise-sweep"])
+def test_cli_repeated_seed_exits_2_before_any_solve(command, tmp_path, capsys, monkeypatch):
+    # a repeated seed would run its cells twice and weigh the medians toward it
+    _forbid_solves(monkeypatch)
+    out = tmp_path / "runs"
+    assert cli.main(command + ["--seeds", "1,0,1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: seeds must be distinct, got 1 twice\n"
+
+
 @pytest.mark.parametrize("command, message", [
     (["gen-random", "--seed", "-1"], "seed must be non-negative, got -1"),
     (["gen-random", "--n", "5", "--bound", "nan"], "bound must be positive and finite, got nan"),

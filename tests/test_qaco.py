@@ -22,7 +22,7 @@ from qacotsp.qaco import (
     repair_infeasible,
     rotation_update,
 )
-from qacotsp.qsim import NO_NOISE, THETA_MAX, THETA_MIN, NoiseKind, NoiseSpec
+from qacotsp.qsim import NO_NOISE, THETA_MAX, THETA_MIN, DrawReplay, NoiseKind, NoiseSpec
 from qacotsp.tsplib import Instance, MetricMode, Tour, gen_random_instance, validate_tour
 
 
@@ -307,6 +307,44 @@ def test_mutation_rate_closed_form():
             assert hamming(format(out, "08b"), "00000000") == 1
             flips += 1
     assert abs(flips / shots - expected) <= 4 * math.sqrt(expected * (1 - expected) / shots)
+
+
+@pytest.mark.parametrize("noise", [NO_NOISE, NoiseSpec(NoiseKind.BIT_FLIP, 0.3),
+                                   NoiseSpec(NoiseKind.THERMAL_RELAXATION, 0.3)],
+                         ids=lambda n: n.kind.value)
+def test_kernels_return_ints_from_both_draw_sources(noise):
+    # The solver's kernels take a numpy Generator or the solver's DrawReplay,
+    # and must draw the same values and return Python ints from either.
+    pool = SolutionPool()
+    for order, length in (((1, 0, 2, 3), 2.0), ((3, 2, 0, 1), 1.0)):
+        pool.add(Tour(order), encode_tour(Tour(order), 4), length)
+    gen, twin = np.random.default_rng(9), np.random.default_rng(9)
+    replay = DrawReplay(twin.bit_generator)
+    for trial in range(300):
+        for source in (gen, replay):
+            code = 0b11111111 ^ trial % 7
+            out = (maybe_mutate(code, 8, noise, source),
+                   qaco._repair(code, pool, 5, 4, source),
+                   qaco._repair(code, pool, 50, 4, source))
+            assert all(type(v) is int for v in out), out
+            if source is gen:
+                expected = out
+        assert out == expected, trial
+    assert replay.random() == gen.random()
+
+
+def test_qaco_solve_refuses_a_generator_as_seed():
+    # The solver reads its generator ahead in blocks; a caller's generator
+    # would be left advanced past the draws the solve made.
+    inst = gen_random_instance(4, 15, 100.0)
+    for seed in (np.random.default_rng(4), np.random.PCG64(4)):
+        bitgen = getattr(seed, "bit_generator", seed)
+        state = bitgen.state
+        with pytest.raises(qaco.SharedGenerator):
+            qaco_solve(inst, range(4), seed=seed)
+        assert bitgen.state == state
+    assert (qaco_solve(inst, range(4), seed=np.random.SeedSequence(4))
+            == qaco_solve(inst, range(4), seed=4))
 
 
 # ---------------------------------------------------------------------------

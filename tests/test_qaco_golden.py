@@ -526,6 +526,7 @@ def test_maybe_mutate_matches_reference(noise):
         n_bits = int(codes.choice([4, 6, 8]))
         code = int(codes.integers(0, 1 << n_bits))
         mutated = qaco.maybe_mutate(code, n_bits, noise, a)
+        assert type(mutated) is int
         assert mutated == reference_mutation(code, n_bits, noise, b), (code, n_bits)
         flips += mutated != code
     assert a.random() == b.random()  # the same number of draws was taken
