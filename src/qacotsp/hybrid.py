@@ -7,6 +7,21 @@ are visited in the order of a brute-force tour over their centroids, and
 adjacent cycles are merged by the cheapest 2-edge exchange.  The root cycle
 over all cities is validated and measured once, then optionally polished by
 2-opt or a short classical colony run.
+
+No stage builds the n x n distance matrix; each computes the distances it
+reads from the coordinates, through ``tsplib.pair_distances`` and its two
+halves, so memory stays linear in n:
+
+* the overflow check reads the coordinates' bounding box, and every
+  distance only when that cannot rule an overflow out;
+* each leaf solver gets the k x k matrix of its k cities;
+* a merge computes the block between its two cycles' cities, a bounded
+  number of rows at a time, and the two cycles' edges;
+* 2-opt keeps the tour's edges, and computes the distances of a few
+  consecutive positions to the later ones at a time;
+* the stitched and refined lengths sum the tour's edges;
+* only the aco-polish refinement builds the full matrix, as its n x n
+  pheromone matrix needs that memory anyway.
 """
 
 from __future__ import annotations
@@ -28,9 +43,13 @@ from .tsplib import (
     InvariantError,
     MetricMode,
     Tour,
+    check_distances,
+    city_points,
     cycle_length,
     distance_matrix,
-    sub_distance_matrix,
+    edge_sum,
+    pair_distances,
+    point_distances,
     validate_tour,
 )
 
@@ -103,42 +122,61 @@ def order_siblings(centroids) -> list:
                                 itertools.permutations(range(k))))
 
 
-def _merge_two_cycles(a: list, b: list, D: np.ndarray):
+# Entries of the a x b distance block one merge computes at a time: the
+# block and the (rows, b, 2) array of added costs stay bounded in memory.
+MERGE_BLOCK = 1 << 14
+
+
+def _merge_two_cycles(a: list, b: list, inst: Instance, metric: MetricMode):
     """Cheapest single 2-edge exchange joining two disjoint cycles.
 
     Every pair of (edge i of a, edge j of b) is tried in both reconnection
     orientations; returns (merged cycle, added length).  A one-city cycle
-    [x], swapped into ``b`` if it is ``a``, has the single edge (x, x).  This
-    relies on D's zero diagonal: an exchange then costs exactly the insertion
-    of x into an edge of the other cycle, and the reversed orientation ties.
+    [x], swapped into ``b`` if it is ``a``, has the single edge (x, x) of
+    length 0: an exchange then costs exactly the insertion of x into an
+    edge of the other cycle, and the reversed orientation ties.
 
-    The added costs fill an (la, lb, 2) array, each entry summed in the same
-    order as a scalar loop would: ``removed`` first, then ``D[a1, b2] +
-    D[b1, a2] - removed``.  A loop over (i, j, orientation) that keeps only
-    strict improvements ends on the first occurrence of the minimum in that
-    order, which is the first minimum ``np.argmin`` finds in the C-ordered
-    array.
+    With each cycle followed by its first city again, one distance block
+    M over (a1 rows) x (b1 cols) holds every distance an exchange reads:
+    D[a1, b2], D[b1, a2], D[a1, b1] and D[b2, a2] are its four shifted
+    views.  The added costs fill a (rows, lb, 2) array, each entry summed in
+    the same order as a scalar loop would: ``removed`` first, then
+    ``D[a1, b2] + D[b1, a2] - removed``.  A loop over (i, j, orientation)
+    that keeps only strict improvements ends on the first occurrence of the
+    minimum in that order, which is the first minimum ``np.argmin`` finds in
+    the C-ordered array; blocks of rows are taken in order, and a later
+    block replaces the best only with a strictly lower cost.
     """
     if len(a) == 1:
         a, b = b, a
-    A1, B1 = np.asarray(a), np.asarray(b)
-    A2, B2 = np.roll(A1, -1), np.roll(B1, -1)
-    removed = D[A1, A2][:, None] + D[B1, B2][None, :]
-    A1, A2 = A1[:, None], A2[:, None]
-    added = np.empty((len(a), len(b), 2), dtype=removed.dtype)
-    # forward: ... a1 -> b2 ... b1 -> a2 ...
-    np.subtract(D[A1, B2] + D[B1, A2], removed, out=added[..., 0])
-    # reversed: ... a1 -> b1 ... b2 -> a2 ...
-    np.subtract(D[A1, B1] + D[B2, A2], removed, out=added[..., 1])
-    best = int(np.argmin(added))
-    i, j, reverse = np.unravel_index(best, added.shape)
+    la, lb = len(a), len(b)
+    ids = np.array(a + a[:1] + b + b[:1])
+    A, B = ids[:la + 1], ids[la + 1:]
+    # edge p joins ids[p] and ids[p + 1]; edge la (a's first city to b's) is unused
+    edges = pair_distances(inst, metric, ids[:-1], ids[1:])
+    b_edges = edges[la + 1:]
+    rows = max(1, MERGE_BLOCK // (lb + 1))
+    best, best_add = None, None
+    for start in range(0, la, rows):
+        stop = min(start + rows, la)
+        M = pair_distances(inst, metric, A[start:stop + 1, None], B)
+        removed = edges[start:stop, None] + b_edges
+        added = np.empty((stop - start, lb, 2))
+        # forward: ... a1 -> b2 ... b1 -> a2 ...
+        np.subtract(M[:-1, 1:] + M[1:, :-1], removed, out=added[..., 0])
+        # reversed: ... a1 -> b1 ... b2 -> a2 ...
+        np.subtract(M[:-1, :-1] + M[1:, 1:], removed, out=added[..., 1])
+        k = int(np.argmin(added))
+        if best is None or added.flat[k] < best_add:
+            best, best_add = start * lb * 2 + k, float(added.flat[k])
+    i, j, reverse = np.unravel_index(best, (la, lb, 2))
     rolled = b[j + 1:] + b[: j + 1]
     if reverse:
         rolled = rolled[::-1]
-    return a[: i + 1] + rolled + a[i + 1:], float(added.flat[best])
+    return a[: i + 1] + rolled + a[i + 1:], best_add
 
 
-def stitch(cycles: list, D: np.ndarray) -> list:
+def stitch(cycles: list, inst: Instance, metric: MetricMode) -> list:
     """Merge ordered sibling cycles of city ids into one cycle over their union.
 
     Folds left over the list, joining the accumulated cycle with each next
@@ -147,14 +185,18 @@ def stitch(cycles: list, D: np.ndarray) -> list:
     """
     merged = cycles[0]
     for nxt in cycles[1:]:
-        merged, _ = _merge_two_cycles(merged, nxt, D)
+        merged, _ = _merge_two_cycles(merged, nxt, inst, metric)
     if sorted(merged) != sorted(itertools.chain.from_iterable(cycles)):
         raise InvariantError("stitched cycle must cover the union exactly")
     return merged
 
 
+# Positions whose distances to the later positions 2-opt computes at once.
+TWO_OPT_ROWS = 8
+
+
 def two_opt(tour: Tour, inst: Instance, metric: MetricMode = MetricMode.CANONICAL,
-            max_passes: int = 20, D: np.ndarray = None) -> Tour:
+            max_passes: int = 20) -> Tour:
     """First-improvement 2-opt sweeps; never returns a longer tour.
 
     For each i, the deltas of the exchanges (i, j) over the whole remaining
@@ -164,36 +206,59 @@ def two_opt(tour: Tour, inst: Instance, metric: MetricMode = MetricMode.CANONICA
     j are those of a rescan from j + 1 with the new b.  Taking the first
     delta below -1e-12, reversing, and rescanning from j + 1 therefore makes
     the scalar loop's moves in its order.
+
+    The cities' coordinates and the edge lengths are kept in tour order and
+    reversed with them.  The distances of a and b to the later positions
+    are rows of a block computed for ``TWO_OPT_ROWS`` positions at once,
+    which serves the next i's until a move reorders their positions.
     """
     if max_passes < 0:
         raise ValueError(f"max_passes must be >= 0, got {max_passes}")
-    if D is None:
-        D = distance_matrix(inst, metric)
     n = len(tour.order)
     if n < 4:
         return tour
-    D = np.asarray(D, dtype=np.float64)
     # order[n] repeats order[0], which no reversal below moves.
     order = np.array(tour.order + tour.order[:1], dtype=np.intp)
+    u, v = city_points(inst, metric, order)
+    # edge[p] joins positions p and p + 1
+    edge = point_distances(inst, metric, u[:-1], v[:-1], u[1:], v[1:])
     for _ in range(max_passes):
         improved = False
+        # rows[r, q] is the distance of position at + r to position at + 2 + q;
+        # da[q - da_at] and db[q - db_at] are those of a and b to position q
+        rows, at = None, 0
         for i in range(n - 1):
-            Da = D[order[i]]
             j, end = i + 2, n - 1 if i == 0 else n
+            if rows is None or i + 1 - at >= len(rows):
+                ahead = slice(i, i + TWO_OPT_ROWS + 1)
+                rows, at = point_distances(inst, metric, u[ahead, None], v[ahead, None],
+                                           u[j:], v[j:]), i
+            da, db, da_at, db_at = rows[i - at], rows[i + 1 - at], at + 2, at + 2
             while j < end:
-                b = order[i + 1]
-                c, d = order[j:end], order[j + 1:end + 1]
-                delta = Da[c] + D[b, d] - Da[b] - D[c, d]
-                hits = np.flatnonzero(delta < -1e-12)
+                delta = da[j - da_at:end - da_at] + db[j + 1 - db_at:end + 1 - db_at] \
+                    - edge[i] - edge[j:end]
+                hits = (delta < -1e-12).nonzero()[0]
                 if not hits.size:
                     break
                 j += int(hits[0])
-                order[i + 1: j + 1] = order[i + 1: j + 1][::-1]
+                edge[i], edge[j] = da[j - da_at], db[j + 1 - db_at]
+                edge[i + 1:j] = edge[i + 1:j][::-1]
+                for arr in (order, u, v):
+                    arr[i + 1: j + 1] = arr[i + 1: j + 1][::-1]
                 improved = True
+                rows = None
                 j += 1
+                db, db_at = point_distances(inst, metric, u[i + 1], v[i + 1], u[j + 1:end + 1],
+                                            v[j + 1:end + 1]), j + 1
         if not improved:
             break
     return Tour(order[:n])
+
+
+def _cycle_length(inst: Instance, metric: MetricMode, cycle) -> float:
+    """``cycle_length`` of a cycle of city ids, its edges computed on demand."""
+    ids = np.asarray(cycle)
+    return edge_sum(pair_distances(inst, metric, ids, np.roll(ids, -1)).tolist())
 
 
 @dataclass(frozen=True)
@@ -211,9 +276,9 @@ class HybridStats:
     wall_ms: float
 
 
-def _solve_leaf(inst, indices, config: HybridConfig, seed, D):
+def _solve_leaf(inst, indices, config: HybridConfig, seed):
     """One leaf's (global cycle, length, iterations, repairs, mutations); 0 for no count."""
-    sub = sub_distance_matrix(D, indices)
+    sub = distance_matrix(inst, config.metric, indices)
     counts = (0, 0, 0)
     if len(indices) <= 3 or config.leaf_solver is LeafSolver.BRUTE_FORCE:
         tour = brute_force_order(sub)
@@ -230,14 +295,14 @@ def _solve_leaf(inst, indices, config: HybridConfig, seed, D):
     return [indices[p] for p in tour.order], float(length), *counts
 
 
-def _join(inst, tree: ClusterTree, cycles: dict, D) -> list:
+def _join(inst, tree: ClusterTree, cycles: dict, metric: MetricMode) -> list:
     """The cycle over ``tree``'s cities, from the leaf cycles keyed by leaf node."""
     if tree.is_leaf:
         return cycles[tree.node]
-    joined = [_join(inst, c, cycles, D) for c in tree.children]
+    joined = [_join(inst, c, cycles, metric) for c in tree.children]
     # Means over c.node, which is sorted: rows in cycle order may round differently.
     centroids = [centroid_of(inst, c.node) for c in tree.children]
-    return stitch([joined[i] for i in order_siblings(centroids)], D)
+    return stitch([joined[i] for i in order_siblings(centroids)], inst, metric)
 
 
 def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
@@ -248,7 +313,7 @@ def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
     cycles are joined into one cycle, which is refined.  The stats come last.
     """
     start = time.perf_counter()
-    D = distance_matrix(inst, config.metric)
+    check_distances(inst, config.metric)
     tree = build_cluster_tree(
         inst,
         leaf_max=config.leaf_max,
@@ -258,19 +323,19 @@ def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
     )
 
     leaves = tree.leaves()
-    solved = [_solve_leaf(inst, list(leaf.node), config, [config.seed, i], D)
+    solved = [_solve_leaf(inst, list(leaf.node), config, [config.seed, i])
               for i, leaf in enumerate(leaves)]
     cycles, leaf_lengths, iterations, repairs, mutations = zip(*solved)
 
-    cycle = _join(inst, tree, {leaf.node: c for leaf, c in zip(leaves, cycles)}, D)
+    cycle = _join(inst, tree, {leaf.node: c for leaf, c in zip(leaves, cycles)}, config.metric)
     if not validate_tour(cycle, inst.dimension):
         raise InvariantError(f"stitched tour is not a permutation of {inst.dimension} cities")
     stitched = Tour(tuple(cycle))
-    stitched_length = cycle_length(D, cycle)
+    stitched_length = _cycle_length(inst, config.metric, cycle)
 
     if config.refinement is Refinement.TWO_OPT:
         refined = two_opt(stitched, inst, config.metric,
-                          max_passes=config.two_opt_max_passes, D=D)
+                          max_passes=config.two_opt_max_passes)
     elif config.refinement is Refinement.ACO_POLISH:
         polish_params = dataclasses.replace(
             config.aco_params, iterations=config.polish_iterations
@@ -278,12 +343,12 @@ def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
         # The stitched tour seeds the incumbent, which only a shorter tour replaces.
         refined, _, _ = aco_solve(
             inst, range(inst.dimension), polish_params, seed=config.seed,
-            metric=config.metric, initial_tour=stitched, D=D,
+            metric=config.metric, initial_tour=stitched,
         )
     else:
         refined = stitched
 
-    length = cycle_length(D, refined.order)
+    length = _cycle_length(inst, config.metric, refined.order)
     if not length <= stitched_length + 1e-9:
         raise InvariantError(f"refinement lengthened the tour: {length!r} > {stitched_length!r}")
     return refined, length, HybridStats(

@@ -290,6 +290,86 @@ def _geo_radians(coords: np.ndarray) -> np.ndarray:
     return _GEO_PI * (deg + 5.0 * minutes / 3.0) / 180.0
 
 
+def _is_geo(inst: Instance, mode: MetricMode) -> bool:
+    return mode is MetricMode.CANONICAL and inst.edge_weight_type == "GEO"
+
+
+def city_points(inst: Instance, mode: MetricMode, ids):
+    """The two coordinates the distance formula reads for cities ``ids``.
+
+    x and y, or under the canonical GEO metric latitude and longitude in
+    radians: two arrays of the shape of ``ids``.
+    """
+    points = inst.coords[ids]
+    if _is_geo(inst, mode):
+        points = _geo_radians(points)
+    return points[..., 0], points[..., 1]
+
+
+def point_distances(inst: Instance, mode: MetricMode, u1, v1, u2, v2) -> np.ndarray:
+    """Distances between points (u1, v1) and (u2, v2) of ``city_points``, broadcast.
+
+    This is the package's one distance formula on arrays.  Under the GEO
+    metric two points are at least 1 apart, even at one place;
+    ``pair_distances`` gives a city 0 to itself.
+    """
+    if mode is MetricMode.PLAIN or inst.edge_weight_type == "EUC_2D":
+        dx, dy = u1 - u2, v1 - v2
+        d = np.sqrt(dx * dx + dy * dy)
+        return d if mode is MetricMode.PLAIN else np.floor(d + 0.5)
+    q1 = np.cos(v1 - v2)
+    q2 = np.cos(u1 - u2)
+    q3 = np.cos(u1 + u2)
+    arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
+    return np.trunc(_GEO_RADIUS * np.arccos(arg) + 1.0)
+
+
+def pair_distances(inst: Instance, mode: MetricMode, i, j) -> np.ndarray:
+    """Distances of cities ``i`` and ``j``, integer id arrays that broadcast.
+
+    Each entry is bit for bit ``distance_matrix``'s entry for the pair, on
+    every metric; equal ids give 0.
+    """
+    d = point_distances(inst, mode, *city_points(inst, mode, i), *city_points(inst, mode, j))
+    if _is_geo(inst, mode):
+        d = np.where(np.equal(i, j), 0.0, d)
+    return d
+
+
+# Entries of one block of the row-chunked scan in ``check_distances``.
+_SCAN_BLOCK = 1 << 16
+
+
+def _refuse_nonfinite(inst: Instance, d: np.ndarray) -> None:
+    if not np.isfinite(d).all():
+        raise NonFiniteDistance(f"{inst.name}: a distance overflows; the coordinates "
+                                "lie too far apart")
+
+
+def check_distances(inst: Instance, mode: MetricMode = MetricMode.CANONICAL) -> None:
+    """Raise ``NonFiniteDistance`` exactly when ``distance_matrix(inst, mode)`` would.
+
+    In O(n) memory.  Rounding is monotone, so no difference of coordinates
+    exceeds the bounding box's, and no distance overflows when the box's
+    spans (and, on GEO, the sums of latitudes) stay finite.  Only when that
+    test fails is every distance computed, a block of rows at a time.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        u, v = city_points(inst, mode, slice(None))
+        if _is_geo(inst, mode):
+            spans = [u.max() - u.min(), v.max() - v.min(), u.max() + u.max(),
+                     u.min() + u.min()]
+        else:
+            spans = point_distances(inst, mode, u.min(), v.min(), u.max(), v.max())
+        if np.isfinite(spans).all():
+            return
+        ids = np.arange(inst.dimension)
+        rows = max(1, _SCAN_BLOCK // inst.dimension)
+        for start in range(0, inst.dimension, rows):
+            _refuse_nonfinite(inst, pair_distances(inst, mode, ids[start:start + rows, None],
+                                                   ids[None, :]))
+
+
 def distance_matrix(inst: Instance, mode: MetricMode = MetricMode.CANONICAL,
                     indices=None) -> np.ndarray:
     """Symmetric distance matrix under the chosen metric convention.
@@ -297,27 +377,13 @@ def distance_matrix(inst: Instance, mode: MetricMode = MetricMode.CANONICAL,
     Over all cities, or over just ``indices`` in their given order: entry
     (i, j) is then the distance of cities ``indices[i]`` and ``indices[j]``,
     bit for bit the entry of the full matrix, at O(k^2) cost for k indices.
-    Cities so far apart that their distance overflows are ``NonFiniteDistance``.
+    Entries come from ``pair_distances``.  Cities so far apart that their
+    distance overflows are ``NonFiniteDistance``.
     """
-    xy = inst.coords if indices is None else inst.coords[np.asarray(indices, dtype=int)]
-    if mode is MetricMode.PLAIN or inst.edge_weight_type == "EUC_2D":
-        diff = xy[:, None, :] - xy[None, :, :]
-        with np.errstate(over="ignore"):  # refused below
-            d = np.sqrt((diff ** 2).sum(axis=2))
-        if mode is MetricMode.CANONICAL:
-            d = np.floor(d + 0.5)
-    else:  # GEO, canonical
-        rad = _geo_radians(xy)
-        lat, lon = rad[:, 0], rad[:, 1]
-        q1 = np.cos(lon[:, None] - lon[None, :])
-        q2 = np.cos(lat[:, None] - lat[None, :])
-        q3 = np.cos(lat[:, None] + lat[None, :])
-        arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
-        d = np.trunc(_GEO_RADIUS * np.arccos(arg) + 1.0)
-        np.fill_diagonal(d, 0.0)
-    if not np.isfinite(d).all():
-        raise NonFiniteDistance(f"{inst.name}: a distance overflows; the coordinates "
-                                "lie too far apart")
+    ids = np.arange(inst.dimension) if indices is None else np.asarray(indices, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        d = pair_distances(inst, mode, ids[:, None], ids[None, :])
+    _refuse_nonfinite(inst, d)
     return d
 
 
@@ -356,13 +422,25 @@ def tour_length(inst: Instance, tour: Tour, mode: MetricMode = MetricMode.CANONI
     return total
 
 
-def cycle_length(D: np.ndarray, order) -> float:
-    """Length of a cyclic order under a precomputed distance matrix."""
+def edge_sum(edges) -> float:
+    """Sum of edge lengths (Python floats), left to right from 0.0.
+
+    A plain loop: ``sum`` compensates float sums from Python 3.12 on.
+    """
     total = 0.0
-    k = len(order)
-    for idx in range(k):
-        total += D[order[idx], order[(idx + 1) % k]]
-    return float(total)
+    for length in edges:
+        total += length
+    return total
+
+
+def cycle_length(D: np.ndarray, order) -> float:
+    """Length of a cyclic order under a precomputed distance matrix.
+
+    Edge (order[i], order[i + 1]) is added before edge i + 1, and the
+    closing edge last.
+    """
+    order = tuple(order)
+    return edge_sum(map(D.item, order, order[1:] + order[:1]))
 
 
 def gen_random_instance(n: int, seed: int, bound: float = 1000.0) -> Instance:

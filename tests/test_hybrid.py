@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qacotsp import hybrid
+from qacotsp.bench import resolve_instance
 from qacotsp.cluster import ClusterTree, build_cluster_tree
 from qacotsp.hybrid import (
     HybridConfig,
@@ -21,6 +23,7 @@ from qacotsp.hybrid import (
 from qacotsp.tsplib import (
     Instance,
     MetricMode,
+    NonFiniteDistance,
     Tour,
     distance_matrix,
     gen_random_instance,
@@ -107,7 +110,7 @@ def pair_instance():
 def test_stitch_two_pairs_best_four_cycle():
     inst = pair_instance()
     D = distance_matrix(inst, MetricMode.PLAIN)
-    cycle = stitch([[0, 1], [2, 3]], D)
+    cycle = stitch([[0, 1], [2, 3]], inst, MetricMode.PLAIN)
     assert validate_tour(cycle, 4)
     length = tour_length(inst, Tour(tuple(cycle)), MetricMode.PLAIN)
     # oracle: enumerate every 4-cycle
@@ -119,8 +122,7 @@ def test_stitch_two_pairs_best_four_cycle():
 
 
 def test_stitch_single_subtour_unchanged():
-    D = distance_matrix(pair_instance(), MetricMode.PLAIN)
-    assert stitch([[0, 2, 1, 3]], D) == [0, 2, 1, 3]
+    assert stitch([[0, 2, 1, 3]], pair_instance(), MetricMode.PLAIN) == [0, 2, 1, 3]
 
 
 def test_stitch_pair_merge_is_locally_optimal():
@@ -132,7 +134,7 @@ def test_stitch_pair_merge_is_locally_optimal():
         a, b = [0, 1, 2, 3], [4, 5, 6, 7]
         cyc_a = [a[p] for p in brute_force_order(D[np.ix_(a, a)]).order]
         cyc_b = [b[p] for p in brute_force_order(D[np.ix_(b, b)]).order]
-        cycle = stitch([cyc_a, cyc_b], D)
+        cycle = stitch([cyc_a, cyc_b], inst, MetricMode.PLAIN)
         got = tour_length(inst, Tour(tuple(cycle)), MetricMode.PLAIN)
 
         best = math.inf
@@ -242,7 +244,7 @@ def test_every_leaf_is_solved_before_the_first_stitch(monkeypatch):
 
     spy("qaco_solve", lambda inst, indices, *args, seed, **kwargs: (list(indices), seed))
     spy("brute_force_order", lambda D: (D.shape[0], None))
-    spy("stitch", lambda cycles, D: None)
+    spy("stitch", lambda cycles, inst, metric: None)
     _, _, stats = solve_hybrid(inst, config)
 
     names = [name for name, _ in calls]
@@ -311,15 +313,16 @@ def test_brute_force_order_small():
 
 
 def test_stitch_raises_when_union_not_covered(monkeypatch):
-    D = distance_matrix(gen_random_instance(4, 1, 100.0), MetricMode.PLAIN)
+    inst = gen_random_instance(4, 1, 100.0)
     # a merge that drops the next cycle's first city
-    monkeypatch.setattr(hybrid, "_merge_two_cycles", lambda a, b, D: (a + b[1:], 0.0))
+    monkeypatch.setattr(hybrid, "_merge_two_cycles",
+                        lambda a, b, inst, metric: (a + b[1:], 0.0))
     with pytest.raises(InvariantError):
-        stitch([[0, 1], [2, 3]], D)
+        stitch([[0, 1], [2, 3]], inst, MetricMode.PLAIN)
 
 
 def test_solve_hybrid_raises_on_malformed_stitched_tour(monkeypatch):
-    monkeypatch.setattr(hybrid, "stitch", lambda cycles, D: [0, 1])
+    monkeypatch.setattr(hybrid, "stitch", lambda cycles, inst, metric: [0, 1])
     with pytest.raises(InvariantError):
         solve_hybrid(gen_random_instance(9, 2, 100.0),
                      HybridConfig(seed=0, metric=MetricMode.PLAIN, kmeans_restarts=1))
@@ -343,6 +346,34 @@ def test_solve_hybrid_raises_when_refinement_lengthens(monkeypatch):
     monkeypatch.setattr(hybrid, "two_opt", lambda tour, *args, **kwargs: Tour(worst))
     with pytest.raises(InvariantError):
         solve_hybrid(inst, HybridConfig(refinement=Refinement.TWO_OPT, **base))
+
+
+@pytest.mark.parametrize("metric", list(MetricMode))
+def test_solve_hybrid_refuses_distances_that_overflow_before_the_tree(metric, monkeypatch):
+    # The coordinates are finite, but the square of their difference is not.
+    far = Instance("far", 5, "EUC_2D",
+                   np.array([[0, 0], [1e200, 0], [1, 1], [2, 0], [0, 3]], dtype=float))
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("build_cluster_tree was called")
+
+    monkeypatch.setattr(hybrid, "build_cluster_tree", no_tree)
+    with pytest.raises(NonFiniteDistance, match="far"):
+        solve_hybrid(far, HybridConfig(metric=metric))
+
+
+def test_solve_hybrid_memory_is_linear_in_the_cities():
+    # An n x n float64 matrix of 2000 cities alone takes 32 MB.
+    inst = resolve_instance("random:2000:2024")
+    config = HybridConfig(leaf_solver=LeafSolver.BRUTE_FORCE, refinement=Refinement.TWO_OPT,
+                          metric=MetricMode.PLAIN)
+    tracemalloc.start()
+    try:
+        solve_hybrid(inst, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_config_limits_leaf_size_only_for_the_qaco_leaf_solver():

@@ -74,9 +74,9 @@ except tsplib.InvariantError as exc:
 STITCH_TRIGGER = """
 from qacotsp import hybrid, tsplib
 assert False, "assert statements must be stripped under -O"
-hybrid._merge_two_cycles = lambda a, b, D: (a + b[1:], 0.0)  # drops a city
+hybrid._merge_two_cycles = lambda a, b, inst, metric: (a + b[1:], 0.0)  # drops a city
 try:
-    hybrid.stitch([[0, 1], [2, 3]], tsplib.distance_matrix(tsplib.gen_random_instance(4, 0)))
+    hybrid.stitch([[0, 1], [2, 3]], tsplib.gen_random_instance(4, 0), tsplib.MetricMode.PLAIN)
 except tsplib.InvariantError as exc:
     print("raised:", exc)
 """

@@ -8,7 +8,8 @@ from 1 to 6 on each side, including (1, 1), (1, k) and (k, 1), and on
 every merge a hybrid solve of 1000 random cities makes, where cycles grow
 to hundreds of cities.
 
-Distance matrices come from three sources:
+Merges run on instances from three sources, and the reference reads their
+distance matrices:
 
 * subsets of every bundled dataset, under both metrics;
 * random instances in a 10-unit box under the canonical (rounded) metric,
@@ -78,15 +79,15 @@ def lattice(side: int) -> Instance:
     return Instance(f"lattice{side}", side * side, "EUC_2D", coords)
 
 
-def _matrices(data_dir):
+def _instances(data_dir):
     for path in sorted(data_dir.glob("*.tsp")):
         inst = load_instance(str(path))
         for metric in (MetricMode.CANONICAL, MetricMode.PLAIN):
-            yield f"{inst.name}-{metric.value}", distance_matrix(inst, metric)
+            yield f"{inst.name}-{metric.value}", inst, metric
     for seed in range(3):
         inst = gen_random_instance(24, seed, 10.0)
-        yield inst.name, distance_matrix(inst, MetricMode.CANONICAL)
-    yield "lattice4", distance_matrix(lattice(4), MetricMode.PLAIN)
+        yield inst.name, inst, MetricMode.CANONICAL
+    yield "lattice4", lattice(4), MetricMode.PLAIN
 
 
 def _cycle_pairs(n: int, rng):
@@ -99,35 +100,38 @@ def _cycle_pairs(n: int, rng):
 
 def test_merge_matches_the_reference_on_every_size_pair(data_dir):
     merges = 0
-    for name, D in _matrices(data_dir):
+    for name, inst, metric in _instances(data_dir):
+        D = distance_matrix(inst, metric)
         rng = np.random.default_rng(len(D))
         for a, b in _cycle_pairs(len(D), rng):
-            merged, added = _merge_two_cycles(list(a), list(b), D)
+            merged, added = _merge_two_cycles(list(a), list(b), inst, metric)
             want, want_added = reference_merge(list(a), list(b), D)
             assert (merged, added.hex()) == (want, want_added.hex()), (name, a, b)
             merges += 1
     assert merges == 16 * len(SIZES) ** 2 * TRIALS
 
 
-@pytest.mark.parametrize("a, b", [([3], [7]), ([0], [1, 2, 3]), ([1, 2, 3], [0]),
-                                  ([5], [0, 1, 2, 4, 6, 8])])
+LATTICE_TIES = [([3], [7]), ([0], [1, 2, 3]), ([1, 2, 3], [0]), ([5], [0, 1, 2, 4, 6, 8]),
+                ([0, 1, 2, 5], [3, 4, 6, 7, 8])]
+
+
+@pytest.mark.parametrize("a, b", LATTICE_TIES[:4])
 def test_one_city_cycles_on_lattice_ties(a, b):
     # on a lattice many one-city insertions cost the same
     D = distance_matrix(lattice(3), MetricMode.PLAIN)
-    merged, added = _merge_two_cycles(list(a), list(b), D)
+    merged, added = _merge_two_cycles(list(a), list(b), lattice(3), MetricMode.PLAIN)
     want, want_added = reference_merge(list(a), list(b), D)
     assert (merged, added.hex()) == (want, want_added.hex())
 
 
-@pytest.mark.parametrize("metric", [MetricMode.CANONICAL, MetricMode.PLAIN])
-def test_every_merge_of_a_1000_city_solve(metric, monkeypatch):
-    # The tree walk's own merges: ~190 stitches of up to four cycles, up to
-    # the root's, whose cycles hold several hundred cities each.
+def merges_of_a_1000_city_solve(metric, monkeypatch):
+    """Every merge of a brute-force-leaf solve of 1000 random cities, checked
+    against the reference; returns the (len a, len b) of each."""
     calls = []
 
-    def recording_merge(a, b, D):
+    def recording_merge(a, b, inst, metric):
         inputs = (list(a), list(b))
-        merged, added = _merge_two_cycles(a, b, D)
+        merged, added = _merge_two_cycles(a, b, inst, metric)
         calls.append((*inputs, merged, added))
         return merged, added
 
@@ -138,7 +142,30 @@ def test_every_merge_of_a_1000_city_solve(metric, monkeypatch):
     solve_hybrid(inst, config)
     D = distance_matrix(inst, metric)
     assert len(calls) == 351
-    assert max(min(len(a), len(b)) for a, b, _, _ in calls) > 200
     for a, b, merged, added in calls:
         want, want_added = reference_merge(a, b, D)
         assert (merged, added.hex()) == (want, want_added.hex()), (len(a), len(b))
+    return [(len(a), len(b)) for a, b, _, _ in calls]
+
+
+@pytest.mark.parametrize("metric", [MetricMode.CANONICAL, MetricMode.PLAIN])
+def test_every_merge_of_a_1000_city_solve(metric, monkeypatch):
+    # The tree walk's own merges: ~190 stitches of up to four cycles, up to
+    # the root's, whose cycles hold several hundred cities each.
+    sizes = merges_of_a_1000_city_solve(metric, monkeypatch)
+    assert max(min(la, lb) for la, lb in sizes) > 200
+
+
+@pytest.mark.parametrize("block", [1, 3000], ids=["one-row", "split-root"])
+def test_merge_blocks_keep_the_first_minimum(block, monkeypatch):
+    # The merge computes its distance block a few rows of ``a`` at a time;
+    # a later block must replace the best only with a strictly lower cost.
+    monkeypatch.setattr(hybrid, "MERGE_BLOCK", block)
+    D = distance_matrix(lattice(3), MetricMode.PLAIN)
+    for a, b in LATTICE_TIES:
+        merged, added = _merge_two_cycles(list(a), list(b), lattice(3), MetricMode.PLAIN)
+        want, want_added = reference_merge(list(a), list(b), D)
+        assert (merged, added.hex()) == (want, want_added.hex()), (a, b)
+    sizes = merges_of_a_1000_city_solve(MetricMode.CANONICAL, monkeypatch)
+    # the root's merges take many blocks each
+    assert max(la // max(1, block // (lb + 1)) for la, lb in sizes) >= 50

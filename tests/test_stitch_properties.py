@@ -29,20 +29,20 @@ inst_seeds = st.integers(0, 2 ** 31 - 1)
 
 @st.composite
 def instance_and_order(draw, min_n, max_n):
-    """A random instance with its distance matrix and a random order of its cities."""
+    """A random instance, a metric, its distance matrix and a random order of its cities."""
     n = draw(st.integers(min_n, max_n))
     inst = gen_random_instance(n, draw(inst_seeds), draw(st.sampled_from([10.0, 1000.0])))
-    D = distance_matrix(inst, draw(metrics))
-    return inst, D, draw(st.permutations(range(n)))
+    metric = draw(metrics)
+    return inst, metric, distance_matrix(inst, metric), draw(st.permutations(range(n)))
 
 
 @SETTINGS
 @given(case=instance_and_order(2, 12), data=st.data())
 def test_merge_two_cycles_reports_the_added_length(case, data):
-    _, D, order = case
+    inst, metric, D, order = case
     split = data.draw(st.integers(1, len(order) - 1))
     a, b = list(order[:split]), list(order[split:])
-    merged, added = _merge_two_cycles(a, b, D)
+    merged, added = _merge_two_cycles(a, b, inst, metric)
     assert sorted(merged) == sorted(order)
     merged_length = cycle_length(D, merged)
     expected = merged_length - cycle_length(D, a) - cycle_length(D, b)
@@ -52,7 +52,7 @@ def test_merge_two_cycles_reports_the_added_length(case, data):
 @SETTINGS
 @given(case=instance_and_order(2, 16), data=st.data())
 def test_stitch_returns_a_permutation_of_the_union(case, data):
-    _, D, order = case
+    inst, metric, _, order = case
     # leaf-sized cycles over a prefix of the order, so the union may be a
     # strict subset of the instance
     size = data.draw(st.integers(1, len(order)))
@@ -61,14 +61,14 @@ def test_stitch_returns_a_permutation_of_the_union(case, data):
         k = data.draw(st.integers(1, min(4, size - start)))
         cycles.append(data.draw(st.permutations(order[start:start + k])))
         start += k
-    assert sorted(stitch(cycles, D)) == sorted(order[:size])
+    assert sorted(stitch(cycles, inst, metric)) == sorted(order[:size])
 
 
 @SETTINGS
 @given(case=instance_and_order(2, 25), max_passes=st.integers(1, 20))
 def test_two_opt_never_returns_a_longer_tour(case, max_passes):
-    inst, D, order = case
+    inst, metric, D, order = case
     before = cycle_length(D, order)
-    out = two_opt(Tour(tuple(order)), inst, max_passes=max_passes, D=D)
+    out = two_opt(Tour(tuple(order)), inst, metric, max_passes=max_passes)
     assert validate_tour(out.order, len(order))
     assert cycle_length(D, out.order) <= before + REL_TOL * max(1.0, before)

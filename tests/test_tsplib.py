@@ -1,9 +1,12 @@
 import math
 import os
+import pathlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qacotsp.tsplib import (
     DimensionMismatch,
@@ -17,17 +20,21 @@ from qacotsp.tsplib import (
     NonNumericCoordinate,
     Tour,
     UnsupportedEdgeWeightType,
+    check_distances,
     distance,
     distance_matrix,
     format_instance,
     gen_random_instance,
     load_instance,
+    pair_distances,
     parse_instance,
     save_instance,
     sub_distance_matrix,
     tour_length,
     validate_tour,
 )
+
+DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 MINIMAL_3 = """NAME : tri
 TYPE : TSP
@@ -258,6 +265,99 @@ def test_distance_matrix_refuses_distances_that_overflow(mode):
     with pytest.raises(NonFiniteDistance):
         distance_matrix(inst, mode, [1, 2])
     assert distance_matrix(inst, mode, [0, 2])[0, 1] == 2.0
+
+
+def reference_distance_matrix(inst, mode):
+    """The full matrix as computed before distances came from ``pair_distances``."""
+    xy = inst.coords
+    if mode is MetricMode.PLAIN or inst.edge_weight_type == "EUC_2D":
+        diff = xy[:, None, :] - xy[None, :, :]
+        d = np.sqrt((diff ** 2).sum(axis=2))
+        return np.floor(d + 0.5) if mode is MetricMode.CANONICAL else d
+    deg = np.trunc(xy)
+    rad = 3.141592 * (deg + 5.0 * (xy - deg) / 3.0) / 180.0
+    lat, lon = rad[:, 0], rad[:, 1]
+    q1 = np.cos(lon[:, None] - lon[None, :])
+    q2 = np.cos(lat[:, None] - lat[None, :])
+    q3 = np.cos(lat[:, None] + lat[None, :])
+    arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
+    d = np.trunc(6378.388 * np.arccos(arg) + 1.0)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def geo_instance(n, seed):
+    """GEO cities at random degree.minute coordinates on the whole globe."""
+    rng = np.random.default_rng(seed)
+    coords = np.round(rng.uniform(-1, 1, (n, 2)) * (89.59, 179.59), 2)
+    return Instance(f"geo{n}", n, "GEO", coords)
+
+
+KERNEL_INSTANCES = [load_instance(DATA_DIR / "ulysses16.tsp"),
+                    load_instance(DATA_DIR / "ulysses22.tsp"), gen_random_instance(30, 4, 1000.0),
+                    gen_random_instance(60, 9, 10.0), geo_instance(45, 2)]
+MATRICES = {(inst.name, mode): distance_matrix(inst, mode)
+            for inst in KERNEL_INSTANCES for mode in MetricMode}
+
+
+def test_distance_matrix_equals_the_reference(data_dir):
+    instances = [load_instance(p) for p in sorted(data_dir.glob("*.tsp"))]
+    for inst in instances + KERNEL_INSTANCES + [gen_random_instance(500, 3, 1000.0)]:
+        for mode in MetricMode:
+            got, want = distance_matrix(inst, mode), reference_distance_matrix(inst, mode)
+            assert got.tobytes() == want.tobytes(), (inst.name, mode)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(which=st.integers(0, len(KERNEL_INSTANCES) - 1), mode=st.sampled_from(list(MetricMode)),
+       data=st.data())
+def test_property_pair_distances_equal_the_matrix_entries(which, mode, data):
+    # numpy's cos and arccos run SIMD loops with scalar tails, so every
+    # shape is compared: a scalar pair, 1-D pairs of lengths 1-40, and blocks.
+    inst = KERNEL_INSTANCES[which]
+    D = MATRICES[inst.name, mode]
+    city = st.integers(0, inst.dimension - 1)
+    i, j = data.draw(city), data.draw(city)
+    assert pair_distances(inst, mode, i, j).tobytes() == D[i, j].tobytes()
+    assert pair_distances(inst, mode, i, i).tobytes() == np.float64(0.0).tobytes()
+    size = data.draw(st.integers(1, 40))
+    I = np.array(data.draw(st.lists(city, min_size=size, max_size=size)))
+    J = np.array(data.draw(st.lists(city, min_size=size, max_size=size)))
+    assert pair_distances(inst, mode, I, J).tobytes() == D[I, J].tobytes()
+    # symmetric, which the merge's and 2-opt's reused distances rely on
+    assert pair_distances(inst, mode, J, I).tobytes() == D[I, J].tobytes()
+    assert pair_distances(inst, mode, I, I).tobytes() == np.zeros(size).tobytes()
+    rows = np.array(data.draw(st.lists(city, min_size=1, max_size=12)))
+    got = pair_distances(inst, mode, rows[:, None], J[None, :])
+    assert got.tobytes() == D[np.ix_(rows, J)].tobytes()
+
+
+FAR_APART = [
+    # a difference of coordinates squares to inf
+    Instance("far", 3, "EUC_2D", np.array([[0.0, 0.0], [1e200, 1.0], [2.0, 0.0]])),
+    # the bounding box's diagonal overflows, but no pair's distance does
+    Instance("wide", 4, "EUC_2D", np.array([[0.0, 5e153], [1e154, 5e153], [5e153, 0.0],
+                                            [5e153, 1e154]])),
+    # degrees whose radians overflow
+    Instance("geo-far", 3, "GEO", np.array([[0.0, 0.0], [1e308, 1.0], [2.0, 0.0]])),
+    # finite radians, but the plain metric squares an overflowing difference
+    Instance("geo-wide", 3, "GEO", np.array([[-1e307, 0.0], [1e307, 1.0], [2.0, 0.0]])),
+]
+REFUSED = {("far", "canonical"), ("far", "plain"), ("geo-far", "canonical"),
+           ("geo-far", "plain"), ("geo-wide", "plain")}
+
+
+@pytest.mark.parametrize("inst", FAR_APART, ids=lambda inst: inst.name)
+@pytest.mark.parametrize("mode", list(MetricMode))
+def test_check_distances_refuses_what_the_matrix_refuses(inst, mode):
+    if (inst.name, mode.value) in REFUSED:
+        with pytest.raises(NonFiniteDistance, match=inst.name):
+            distance_matrix(inst, mode)
+        with pytest.raises(NonFiniteDistance, match=inst.name):
+            check_distances(inst, mode)
+    else:
+        distance_matrix(inst, mode)
+        check_distances(inst, mode)
 
 
 def test_format_parse_roundtrip():
