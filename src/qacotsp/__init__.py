@@ -15,6 +15,7 @@ from .hybrid import HybridConfig, LeafSolver, Refinement, solve_hybrid, two_opt
 from .qaco import QacoParams, QacoResult, qaco_solve
 from .qsim import NO_NOISE, NoiseKind, NoiseSpec
 from .tsplib import (
+    Distances,
     Instance,
     MetricMode,
     Tour,
@@ -31,6 +32,7 @@ from .tsplib import (
 __all__ = [
     "AcoParams",
     "ClusterTree",
+    "Distances",
     "HybridConfig",
     "Instance",
     "LeafSolver",

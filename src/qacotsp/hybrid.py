@@ -8,12 +8,12 @@ adjacent cycles are merged by the cheapest 2-edge exchange.  The root cycle
 over all cities is validated and measured once, then optionally polished by
 2-opt or a short classical colony run.
 
-No stage builds the n x n distance matrix; each computes the distances it
-reads from the coordinates, through ``tsplib.pair_distances`` and its two
-halves, so memory stays linear in n:
+No stage builds the n x n distance matrix.  One ``tsplib.Distances`` per
+solve holds the cities' coordinates as the metric reads them, and every
+stage computes the distances it reads from it, so memory stays linear in n:
 
-* the overflow check reads the coordinates' bounding box, and every
-  distance only when that cannot rule an overflow out;
+* its construction checks for an overflow once, from the coordinates'
+  bounding box, and from every distance only when that cannot rule one out;
 * each leaf solver gets the k x k matrix of its k cities;
 * a merge computes the block between its two cycles' cities, a bounded
   number of rows at a time, and the two cycles' edges;
@@ -39,17 +39,12 @@ from .cluster import ClusterTree, build_cluster_tree, centroid_of
 from .qaco import MAX_CITIES, QacoParams, qaco_solve
 from .qsim import NO_NOISE, NoiseSpec
 from .tsplib import (
+    Distances,
     Instance,
     InvariantError,
     MetricMode,
     Tour,
-    check_distances,
-    city_points,
     cycle_length,
-    distance_matrix,
-    edge_sum,
-    pair_distances,
-    point_distances,
     validate_tour,
 )
 
@@ -127,7 +122,7 @@ def order_siblings(centroids) -> list:
 MERGE_BLOCK = 1 << 14
 
 
-def _merge_two_cycles(a: list, b: list, inst: Instance, metric: MetricMode):
+def _merge_two_cycles(a: list, b: list, dist: Distances):
     """Cheapest single 2-edge exchange joining two disjoint cycles.
 
     Every pair of (edge i of a, edge j of b) is tried in both reconnection
@@ -153,13 +148,13 @@ def _merge_two_cycles(a: list, b: list, inst: Instance, metric: MetricMode):
     ids = np.array(a + a[:1] + b + b[:1])
     A, B = ids[:la + 1], ids[la + 1:]
     # edge p joins ids[p] and ids[p + 1]; edge la (a's first city to b's) is unused
-    edges = pair_distances(inst, metric, ids[:-1], ids[1:])
+    edges = dist.pairs(ids[:-1], ids[1:])
     b_edges = edges[la + 1:]
     rows = max(1, MERGE_BLOCK // (lb + 1))
     best, best_add = None, None
     for start in range(0, la, rows):
         stop = min(start + rows, la)
-        M = pair_distances(inst, metric, A[start:stop + 1, None], B)
+        M = dist.pairs(A[start:stop + 1, None], B)
         removed = edges[start:stop, None] + b_edges
         added = np.empty((stop - start, lb, 2))
         # forward: ... a1 -> b2 ... b1 -> a2 ...
@@ -176,7 +171,7 @@ def _merge_two_cycles(a: list, b: list, inst: Instance, metric: MetricMode):
     return a[: i + 1] + rolled + a[i + 1:], best_add
 
 
-def stitch(cycles: list, inst: Instance, metric: MetricMode) -> list:
+def stitch(cycles: list, dist: Distances) -> list:
     """Merge ordered sibling cycles of city ids into one cycle over their union.
 
     Folds left over the list, joining the accumulated cycle with each next
@@ -185,7 +180,7 @@ def stitch(cycles: list, inst: Instance, metric: MetricMode) -> list:
     """
     merged = cycles[0]
     for nxt in cycles[1:]:
-        merged, _ = _merge_two_cycles(merged, nxt, inst, metric)
+        merged, _ = _merge_two_cycles(merged, nxt, dist)
     if sorted(merged) != sorted(itertools.chain.from_iterable(cycles)):
         raise InvariantError("stitched cycle must cover the union exactly")
     return merged
@@ -195,8 +190,7 @@ def stitch(cycles: list, inst: Instance, metric: MetricMode) -> list:
 TWO_OPT_ROWS = 8
 
 
-def two_opt(tour: Tour, inst: Instance, metric: MetricMode = MetricMode.CANONICAL,
-            max_passes: int = 20) -> Tour:
+def two_opt(tour: Tour, dist: Distances, max_passes: int = 20) -> Tour:
     """First-improvement 2-opt sweeps; never returns a longer tour.
 
     For each i, the deltas of the exchanges (i, j) over the whole remaining
@@ -219,9 +213,9 @@ def two_opt(tour: Tour, inst: Instance, metric: MetricMode = MetricMode.CANONICA
         return tour
     # order[n] repeats order[0], which no reversal below moves.
     order = np.array(tour.order + tour.order[:1], dtype=np.intp)
-    u, v = city_points(inst, metric, order)
+    u, v = dist.u[order], dist.v[order]
     # edge[p] joins positions p and p + 1
-    edge = point_distances(inst, metric, u[:-1], v[:-1], u[1:], v[1:])
+    edge = dist.between(u[:-1], v[:-1], u[1:], v[1:])
     for _ in range(max_passes):
         improved = False
         # rows[r, q] is the distance of position at + r to position at + 2 + q;
@@ -231,8 +225,7 @@ def two_opt(tour: Tour, inst: Instance, metric: MetricMode = MetricMode.CANONICA
             j, end = i + 2, n - 1 if i == 0 else n
             if rows is None or i + 1 - at >= len(rows):
                 ahead = slice(i, i + TWO_OPT_ROWS + 1)
-                rows, at = point_distances(inst, metric, u[ahead, None], v[ahead, None],
-                                           u[j:], v[j:]), i
+                rows, at = dist.between(u[ahead, None], v[ahead, None], u[j:], v[j:]), i
             da, db, da_at, db_at = rows[i - at], rows[i + 1 - at], at + 2, at + 2
             while j < end:
                 delta = da[j - da_at:end - da_at] + db[j + 1 - db_at:end + 1 - db_at] \
@@ -248,17 +241,11 @@ def two_opt(tour: Tour, inst: Instance, metric: MetricMode = MetricMode.CANONICA
                 improved = True
                 rows = None
                 j += 1
-                db, db_at = point_distances(inst, metric, u[i + 1], v[i + 1], u[j + 1:end + 1],
-                                            v[j + 1:end + 1]), j + 1
+                db, db_at = dist.between(u[i + 1], v[i + 1], u[j + 1:end + 1],
+                                         v[j + 1:end + 1]), j + 1
         if not improved:
             break
     return Tour(order[:n])
-
-
-def _cycle_length(inst: Instance, metric: MetricMode, cycle) -> float:
-    """``cycle_length`` of a cycle of city ids, its edges computed on demand."""
-    ids = np.asarray(cycle)
-    return edge_sum(pair_distances(inst, metric, ids, np.roll(ids, -1)).tolist())
 
 
 @dataclass(frozen=True)
@@ -276,9 +263,9 @@ class HybridStats:
     wall_ms: float
 
 
-def _solve_leaf(inst, indices, config: HybridConfig, seed):
+def _solve_leaf(inst, dist: Distances, indices, config: HybridConfig, seed):
     """One leaf's (global cycle, length, iterations, repairs, mutations); 0 for no count."""
-    sub = distance_matrix(inst, config.metric, indices)
+    sub = dist.matrix(indices)
     counts = (0, 0, 0)
     if len(indices) <= 3 or config.leaf_solver is LeafSolver.BRUTE_FORCE:
         tour = brute_force_order(sub)
@@ -295,14 +282,14 @@ def _solve_leaf(inst, indices, config: HybridConfig, seed):
     return [indices[p] for p in tour.order], float(length), *counts
 
 
-def _join(inst, tree: ClusterTree, cycles: dict, metric: MetricMode) -> list:
+def _join(inst, tree: ClusterTree, cycles: dict, dist: Distances) -> list:
     """The cycle over ``tree``'s cities, from the leaf cycles keyed by leaf node."""
     if tree.is_leaf:
         return cycles[tree.node]
-    joined = [_join(inst, c, cycles, metric) for c in tree.children]
+    joined = [_join(inst, c, cycles, dist) for c in tree.children]
     # Means over c.node, which is sorted: rows in cycle order may round differently.
     centroids = [centroid_of(inst, c.node) for c in tree.children]
-    return stitch([joined[i] for i in order_siblings(centroids)], inst, metric)
+    return stitch([joined[i] for i in order_siblings(centroids)], dist)
 
 
 def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
@@ -313,7 +300,7 @@ def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
     cycles are joined into one cycle, which is refined.  The stats come last.
     """
     start = time.perf_counter()
-    check_distances(inst, config.metric)
+    dist = Distances(inst, config.metric)
     tree = build_cluster_tree(
         inst,
         leaf_max=config.leaf_max,
@@ -323,19 +310,18 @@ def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
     )
 
     leaves = tree.leaves()
-    solved = [_solve_leaf(inst, list(leaf.node), config, [config.seed, i])
+    solved = [_solve_leaf(inst, dist, list(leaf.node), config, [config.seed, i])
               for i, leaf in enumerate(leaves)]
     cycles, leaf_lengths, iterations, repairs, mutations = zip(*solved)
 
-    cycle = _join(inst, tree, {leaf.node: c for leaf, c in zip(leaves, cycles)}, config.metric)
+    cycle = _join(inst, tree, {leaf.node: c for leaf, c in zip(leaves, cycles)}, dist)
     if not validate_tour(cycle, inst.dimension):
         raise InvariantError(f"stitched tour is not a permutation of {inst.dimension} cities")
     stitched = Tour(tuple(cycle))
-    stitched_length = _cycle_length(inst, config.metric, cycle)
+    stitched_length = dist.cycle_length(cycle)
 
     if config.refinement is Refinement.TWO_OPT:
-        refined = two_opt(stitched, inst, config.metric,
-                          max_passes=config.two_opt_max_passes)
+        refined = two_opt(stitched, dist, max_passes=config.two_opt_max_passes)
     elif config.refinement is Refinement.ACO_POLISH:
         polish_params = dataclasses.replace(
             config.aco_params, iterations=config.polish_iterations
@@ -348,7 +334,7 @@ def solve_hybrid(inst: Instance, config: HybridConfig = HybridConfig()):
     else:
         refined = stitched
 
-    length = _cycle_length(inst, config.metric, refined.order)
+    length = dist.cycle_length(refined.order)
     if not length <= stitched_length + 1e-9:
         raise InvariantError(f"refinement lengthened the tour: {length!r} > {stitched_length!r}")
     return refined, length, HybridStats(

@@ -194,9 +194,8 @@ def parse_instance(text: str) -> Instance:
     if ewt not in ("EUC_2D", "GEO"):
         raise UnsupportedEdgeWeightType(ewt)
 
-    coords = np.full((dimension, 2), np.nan)
-    seen = set()
-    count = 0
+    # Rows are kept until their count matches: a DIMENSION alone allocates nothing.
+    points = {}
     for line in lines[i:]:
         line = line.strip()
         if not line:
@@ -219,14 +218,13 @@ def parse_instance(text: str) -> Instance:
             raise NonNumericCoordinate(f"bad coordinate in line: {line!r}")
         if node_id < 1 or node_id > dimension:
             raise MalformedHeader(f"node id {node_id} outside 1..{dimension}")
-        if node_id in seen:
+        if node_id in points:
             raise MalformedHeader(f"duplicate node id {node_id}")
-        seen.add(node_id)
-        coords[node_id - 1] = (x, y)
-        count += 1
+        points[node_id] = (x, y)
 
-    if count != dimension:
-        raise DimensionMismatch(f"DIMENSION {dimension} but {count} coordinate lines")
+    if len(points) != dimension:
+        raise DimensionMismatch(f"DIMENSION {dimension} but {len(points)} coordinate lines")
+    coords = np.array([points[node_id] for node_id in range(1, dimension + 1)])
     return Instance(name=name, dimension=dimension, edge_weight_type=ewt, coords=coords)
 
 
@@ -290,101 +288,96 @@ def _geo_radians(coords: np.ndarray) -> np.ndarray:
     return _GEO_PI * (deg + 5.0 * minutes / 3.0) / 180.0
 
 
-def _is_geo(inst: Instance, mode: MetricMode) -> bool:
-    return mode is MetricMode.CANONICAL and inst.edge_weight_type == "GEO"
-
-
-def city_points(inst: Instance, mode: MetricMode, ids):
-    """The two coordinates the distance formula reads for cities ``ids``.
-
-    x and y, or under the canonical GEO metric latitude and longitude in
-    radians: two arrays of the shape of ``ids``.
-    """
-    points = inst.coords[ids]
-    if _is_geo(inst, mode):
-        points = _geo_radians(points)
-    return points[..., 0], points[..., 1]
-
-
-def point_distances(inst: Instance, mode: MetricMode, u1, v1, u2, v2) -> np.ndarray:
-    """Distances between points (u1, v1) and (u2, v2) of ``city_points``, broadcast.
-
-    This is the package's one distance formula on arrays.  Under the GEO
-    metric two points are at least 1 apart, even at one place;
-    ``pair_distances`` gives a city 0 to itself.
-    """
-    if mode is MetricMode.PLAIN or inst.edge_weight_type == "EUC_2D":
-        dx, dy = u1 - u2, v1 - v2
-        d = np.sqrt(dx * dx + dy * dy)
-        return d if mode is MetricMode.PLAIN else np.floor(d + 0.5)
-    q1 = np.cos(v1 - v2)
-    q2 = np.cos(u1 - u2)
-    q3 = np.cos(u1 + u2)
-    arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
-    return np.trunc(_GEO_RADIUS * np.arccos(arg) + 1.0)
-
-
-def pair_distances(inst: Instance, mode: MetricMode, i, j) -> np.ndarray:
-    """Distances of cities ``i`` and ``j``, integer id arrays that broadcast.
-
-    Each entry is bit for bit ``distance_matrix``'s entry for the pair, on
-    every metric; equal ids give 0.
-    """
-    d = point_distances(inst, mode, *city_points(inst, mode, i), *city_points(inst, mode, j))
-    if _is_geo(inst, mode):
-        d = np.where(np.equal(i, j), 0.0, d)
-    return d
-
-
-# Entries of one block of the row-chunked scan in ``check_distances``.
+# Entries of one block of the row-chunked overflow scan in ``Distances``.
 _SCAN_BLOCK = 1 << 16
 
 
-def _refuse_nonfinite(inst: Instance, d: np.ndarray) -> None:
-    if not np.isfinite(d).all():
-        raise NonFiniteDistance(f"{inst.name}: a distance overflows; the coordinates "
-                                "lie too far apart")
+class Distances:
+    """The distances between an instance's cities under one metric, on demand.
 
-
-def check_distances(inst: Instance, mode: MetricMode = MetricMode.CANONICAL) -> None:
-    """Raise ``NonFiniteDistance`` exactly when ``distance_matrix(inst, mode)`` would.
-
-    In O(n) memory.  Rounding is monotone, so no difference of coordinates
-    exceeds the bounding box's, and no distance overflows when the box's
-    spans (and, on GEO, the sums of latitudes) stay finite.  Only when that
-    test fails is every distance computed, a block of rows at a time.
+    Covers all cities, or just the cities ``ids`` in their given order; the
+    methods take positions among the covered cities.  Construction derives,
+    once, the two coordinates the formula reads, ``u`` and ``v``: x and y,
+    or under the canonical GEO metric latitude and longitude in radians.  It
+    then raises ``NonFiniteDistance`` if two covered cities lie so far apart
+    that their distance overflows, or a city's radians do, so no method
+    meets an inf or a NaN.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        u, v = city_points(inst, mode, slice(None))
-        if _is_geo(inst, mode):
-            spans = [u.max() - u.min(), v.max() - v.min(), u.max() + u.max(),
-                     u.min() + u.min()]
-        else:
-            spans = point_distances(inst, mode, u.min(), v.min(), u.max(), v.max())
-        if np.isfinite(spans).all():
-            return
-        ids = np.arange(inst.dimension)
-        rows = max(1, _SCAN_BLOCK // inst.dimension)
-        for start in range(0, inst.dimension, rows):
-            _refuse_nonfinite(inst, pair_distances(inst, mode, ids[start:start + rows, None],
-                                                   ids[None, :]))
+
+    def __init__(self, inst: Instance, mode: MetricMode, ids=None):
+        self.mode = mode
+        self.geo = mode is MetricMode.CANONICAL and inst.edge_weight_type == "GEO"
+        self.ids = np.arange(inst.dimension) if ids is None else np.asarray(ids, dtype=int)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            points = inst.coords[self.ids]
+            if self.geo:
+                points = _geo_radians(points)
+            self.u, self.v = np.ascontiguousarray(points.T)
+            u, v = self.u, self.v
+            # Rounding is monotone, so no difference of coordinates exceeds the
+            # bounding box's, and no distance overflows when the box's diagonal
+            # stays finite; on GEO that holds exactly when every radian is
+            # finite.  Only when the box fails is every distance computed, a
+            # block of rows at a time.
+            if not u.size or np.isfinite(self.between(u.min(), v.min(), u.max(), v.max())):
+                return
+            rows = max(1, _SCAN_BLOCK // len(u))
+            for start in range(0, len(u), rows):
+                block = slice(start, start + rows)
+                if not np.isfinite(self.between(u[block, None], v[block, None], u, v)).all():
+                    raise NonFiniteDistance(f"{inst.name}: a distance overflows; the "
+                                            "coordinates lie too far apart")
+
+    def between(self, u1, v1, u2, v2) -> np.ndarray:
+        """Distances between points (u1, v1) and (u2, v2) of ``u`` and ``v``, broadcast.
+
+        This is the package's one distance formula on arrays.  Under the GEO
+        metric two points are at least 1 apart, even at one place; ``pairs``
+        gives a city 0 to itself.
+        """
+        if not self.geo:
+            dx, dy = u1 - u2, v1 - v2
+            d = np.sqrt(dx * dx + dy * dy)
+            return d if self.mode is MetricMode.PLAIN else np.floor(d + 0.5)
+        q1 = np.cos(v1 - v2)
+        q2 = np.cos(u1 - u2)
+        q3 = np.cos(u1 + u2)
+        arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
+        return np.trunc(_GEO_RADIUS * np.arccos(arg) + 1.0)
+
+    def pairs(self, i, j) -> np.ndarray:
+        """Distances of positions ``i`` and ``j``, integer arrays that broadcast.
+
+        Each entry is bit for bit the full matrix's entry for the two cities,
+        on every metric; a city is 0 from itself.
+        """
+        d = self.between(self.u[i], self.v[i], self.u[j], self.v[j])
+        if self.geo:
+            d = np.where(np.equal(self.ids[i], self.ids[j]), 0.0, d)
+        return d
+
+    def matrix(self, ids=None) -> np.ndarray:
+        """The symmetric matrix over all covered positions, or over ``ids`` in their order."""
+        pos = np.arange(len(self.u)) if ids is None else np.asarray(ids, dtype=int)
+        return self.pairs(pos[:, None], pos[None, :])
+
+    def cycle_length(self, cycle) -> float:
+        """``cycle_length`` of a cycle of positions, its edges computed on demand."""
+        pos = np.asarray(cycle)
+        return edge_sum(self.pairs(pos, np.roll(pos, -1)).tolist())
 
 
 def distance_matrix(inst: Instance, mode: MetricMode = MetricMode.CANONICAL,
-                    indices=None) -> np.ndarray:
+                    ids=None) -> np.ndarray:
     """Symmetric distance matrix under the chosen metric convention.
 
-    Over all cities, or over just ``indices`` in their given order: entry
-    (i, j) is then the distance of cities ``indices[i]`` and ``indices[j]``,
-    bit for bit the entry of the full matrix, at O(k^2) cost for k indices.
-    Entries come from ``pair_distances``.  Cities so far apart that their
-    distance overflows are ``NonFiniteDistance``.
+    Over all cities, or over just ``ids`` in their given order: entry (i, j)
+    is then the distance of cities ``ids[i]`` and ``ids[j]``, bit for bit the
+    entry of the full matrix, at O(k^2) cost for k ids.  It is
+    ``Distances(inst, mode, ids).matrix()``, which refuses cities so far
+    apart that their distance overflows as ``NonFiniteDistance``.
     """
-    ids = np.arange(inst.dimension) if indices is None else np.asarray(indices, dtype=int)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        d = pair_distances(inst, mode, ids[:, None], ids[None, :])
-    _refuse_nonfinite(inst, d)
-    return d
+    return Distances(inst, mode, ids).matrix()
 
 
 def distance(inst: Instance, i: int, j: int, mode: MetricMode = MetricMode.CANONICAL) -> float:

@@ -23,6 +23,7 @@ from qacotsp.aco import AcoParams, EmptyAllowedSet
 from qacotsp.bench import resolve_instance
 from qacotsp.hybrid import HybridConfig, LeafSolver, Refinement, solve_hybrid
 from qacotsp.tsplib import (
+    Distances,
     Instance,
     MetricMode,
     Tour,
@@ -402,7 +403,8 @@ def test_solve_hybrid_with_classical_leaves(refinement, monkeypatch, data_dir):
                           polish_iterations=10, metric=PLAIN, seed=2)
     tour, length, stats = solve_hybrid(inst, config)
     monkeypatch.setattr(hybrid, "aco_solve", aco_solve)
-    monkeypatch.setattr(hybrid, "two_opt", two_opt)
+    monkeypatch.setattr(hybrid, "two_opt",
+                        lambda tour, dist, **kwargs: two_opt(tour, inst, PLAIN, **kwargs))
     expected = solve_hybrid(inst, config)
     assert (tour, length) == expected[:2]
     assert dataclasses.replace(stats, wall_ms=0.0) == \
@@ -416,9 +418,9 @@ def test_two_opt_on_a_stitched_tour():
     stitched, _, _ = solve_hybrid(inst, config)
     D = distance_matrix(inst, PLAIN)
     expected = two_opt(stitched, inst, PLAIN, D=D)
-    assert hybrid.two_opt(stitched, inst, PLAIN) == expected
+    assert hybrid.two_opt(stitched, Distances(inst, PLAIN)) == expected
     assert expected != stitched
-    assert hybrid.two_opt(stitched, inst, PLAIN, max_passes=1) == \
+    assert hybrid.two_opt(stitched, Distances(inst, PLAIN), max_passes=1) == \
         two_opt(stitched, inst, PLAIN, max_passes=1)
 
 
@@ -435,7 +437,7 @@ def test_two_opt_pass_cap_on_a_1000_city_stitched_tour(max_passes, stitched_1000
     # The tour converges after four passes, so 20 also runs the early exit.
     inst, stitched, D = stitched_1000
     expected = two_opt(stitched, inst, PLAIN, max_passes=max_passes, D=D)
-    assert hybrid.two_opt(stitched, inst, PLAIN, max_passes=max_passes) == expected
+    assert hybrid.two_opt(stitched, Distances(inst, PLAIN), max_passes=max_passes) == expected
     assert (expected == stitched) == (max_passes == 0)
 
 
@@ -448,7 +450,7 @@ def test_two_opt_smallest_tours(n):
         rng = np.random.default_rng(inst_seed)
         for max_passes in (1, 20):
             start = Tour(tuple(int(v) for v in rng.permutation(n)))
-            assert hybrid.two_opt(start, inst, PLAIN, max_passes=max_passes) == \
+            assert hybrid.two_opt(start, Distances(inst, PLAIN), max_passes=max_passes) == \
                 two_opt(start, inst, PLAIN, max_passes=max_passes), (inst_seed, start)
 
 
@@ -458,7 +460,7 @@ def test_two_opt_keeps_a_two_opt_optimal_tour():
     optimal = two_opt(start, inst, PLAIN, max_passes=1000)
     assert two_opt(optimal, inst, PLAIN, max_passes=1) == optimal
     assert optimal != start
-    assert hybrid.two_opt(optimal, inst, PLAIN) == optimal
+    assert hybrid.two_opt(optimal, Distances(inst, PLAIN)) == optimal
 
 
 @pytest.mark.parametrize("name", ["ulysses16", "ulysses22", "eil51"])
@@ -470,7 +472,7 @@ def test_two_opt_on_every_metric(name, metric, data_dir):
     rng = np.random.default_rng(inst.dimension)
     for max_passes in (1, 20):
         start = Tour(tuple(int(v) for v in rng.permutation(inst.dimension)))
-        assert hybrid.two_opt(start, inst, metric, max_passes=max_passes) == \
+        assert hybrid.two_opt(start, Distances(inst, metric), max_passes=max_passes) == \
             two_opt(start, inst, metric, max_passes=max_passes)
 
 
@@ -482,7 +484,7 @@ def test_two_opt_on_grid_ties():
     rng = np.random.default_rng(8)
     for _ in range(20):
         start = Tour(tuple(int(v) for v in rng.permutation(len(coords))))
-        assert hybrid.two_opt(start, inst, PLAIN) == two_opt(start, inst, PLAIN)
+        assert hybrid.two_opt(start, Distances(inst, PLAIN)) == two_opt(start, inst, PLAIN)
 
 
 @settings(max_examples=15, deadline=None, database=None)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qacotsp import hybrid
+from qacotsp import hybrid, tsplib
 from qacotsp.bench import resolve_instance
 from qacotsp.cluster import ClusterTree, build_cluster_tree
 from qacotsp.hybrid import (
@@ -21,6 +21,7 @@ from qacotsp.hybrid import (
     two_opt,
 )
 from qacotsp.tsplib import (
+    Distances,
     Instance,
     MetricMode,
     NonFiniteDistance,
@@ -110,7 +111,7 @@ def pair_instance():
 def test_stitch_two_pairs_best_four_cycle():
     inst = pair_instance()
     D = distance_matrix(inst, MetricMode.PLAIN)
-    cycle = stitch([[0, 1], [2, 3]], inst, MetricMode.PLAIN)
+    cycle = stitch([[0, 1], [2, 3]], Distances(inst, MetricMode.PLAIN))
     assert validate_tour(cycle, 4)
     length = tour_length(inst, Tour(tuple(cycle)), MetricMode.PLAIN)
     # oracle: enumerate every 4-cycle
@@ -122,7 +123,7 @@ def test_stitch_two_pairs_best_four_cycle():
 
 
 def test_stitch_single_subtour_unchanged():
-    assert stitch([[0, 2, 1, 3]], pair_instance(), MetricMode.PLAIN) == [0, 2, 1, 3]
+    assert stitch([[0, 2, 1, 3]], Distances(pair_instance(), MetricMode.PLAIN)) == [0, 2, 1, 3]
 
 
 def test_stitch_pair_merge_is_locally_optimal():
@@ -134,7 +135,7 @@ def test_stitch_pair_merge_is_locally_optimal():
         a, b = [0, 1, 2, 3], [4, 5, 6, 7]
         cyc_a = [a[p] for p in brute_force_order(D[np.ix_(a, a)]).order]
         cyc_b = [b[p] for p in brute_force_order(D[np.ix_(b, b)]).order]
-        cycle = stitch([cyc_a, cyc_b], inst, MetricMode.PLAIN)
+        cycle = stitch([cyc_a, cyc_b], Distances(inst, MetricMode.PLAIN))
         got = tour_length(inst, Tour(tuple(cycle)), MetricMode.PLAIN)
 
         best = math.inf
@@ -161,13 +162,13 @@ def square_instance():
 
 def test_two_opt_uncrosses_square():
     inst = square_instance()
-    out = two_opt(Tour((0, 2, 1, 3)), inst, MetricMode.PLAIN)
+    out = two_opt(Tour((0, 2, 1, 3)), Distances(inst, MetricMode.PLAIN))
     assert tour_length(inst, out, MetricMode.PLAIN) == pytest.approx(4.0)
 
 
 def test_two_opt_fixpoint_on_optimal():
     inst = square_instance()
-    out = two_opt(Tour((0, 1, 2, 3)), inst, MetricMode.PLAIN)
+    out = two_opt(Tour((0, 1, 2, 3)), Distances(inst, MetricMode.PLAIN))
     assert out.order == (0, 1, 2, 3)
 
 
@@ -177,7 +178,7 @@ def test_two_opt_never_increases():
         inst = gen_random_instance(15, 400 + trial, 100.0)
         start = Tour(tuple(int(v) for v in rng.permutation(15)))
         before = tour_length(inst, start, MetricMode.PLAIN)
-        out = two_opt(start, inst, MetricMode.PLAIN)
+        out = two_opt(start, Distances(inst, MetricMode.PLAIN))
         after = tour_length(inst, out, MetricMode.PLAIN)
         assert after <= before + 1e-9
         assert validate_tour(out.order, 15)
@@ -244,7 +245,7 @@ def test_every_leaf_is_solved_before_the_first_stitch(monkeypatch):
 
     spy("qaco_solve", lambda inst, indices, *args, seed, **kwargs: (list(indices), seed))
     spy("brute_force_order", lambda D: (D.shape[0], None))
-    spy("stitch", lambda cycles, inst, metric: None)
+    spy("stitch", lambda cycles, dist: None)
     _, _, stats = solve_hybrid(inst, config)
 
     names = [name for name, _ in calls]
@@ -316,13 +317,13 @@ def test_stitch_raises_when_union_not_covered(monkeypatch):
     inst = gen_random_instance(4, 1, 100.0)
     # a merge that drops the next cycle's first city
     monkeypatch.setattr(hybrid, "_merge_two_cycles",
-                        lambda a, b, inst, metric: (a + b[1:], 0.0))
+                        lambda a, b, dist: (a + b[1:], 0.0))
     with pytest.raises(InvariantError):
-        stitch([[0, 1], [2, 3]], inst, MetricMode.PLAIN)
+        stitch([[0, 1], [2, 3]], Distances(inst, MetricMode.PLAIN))
 
 
 def test_solve_hybrid_raises_on_malformed_stitched_tour(monkeypatch):
-    monkeypatch.setattr(hybrid, "stitch", lambda cycles, inst, metric: [0, 1])
+    monkeypatch.setattr(hybrid, "stitch", lambda cycles, dist: [0, 1])
     with pytest.raises(InvariantError):
         solve_hybrid(gen_random_instance(9, 2, 100.0),
                      HybridConfig(seed=0, metric=MetricMode.PLAIN, kmeans_restarts=1))
@@ -361,6 +362,30 @@ def test_solve_hybrid_refuses_distances_that_overflow_before_the_tree(metric, mo
     with pytest.raises(NonFiniteDistance, match="far"):
         solve_hybrid(far, HybridConfig(metric=metric))
 
+
+def test_solve_hybrid_derives_the_geo_radians_once(data_dir, monkeypatch):
+    sizes = []
+    radians = tsplib._geo_radians
+    monkeypatch.setattr(tsplib, "_geo_radians",
+                        lambda coords: sizes.append(len(coords)) or radians(coords))
+    inst = load_instance(data_dir / "ulysses22.tsp")
+    solve_hybrid(inst, HybridConfig(metric=MetricMode.CANONICAL, kmeans_restarts=1))
+    assert sizes == [inst.dimension]
+
+
+def test_leaf_matrices_do_not_check_for_overflow_again(monkeypatch):
+    # The solve's one ``Distances`` has ruled an overflow out; its leaf
+    # matrices and merges enter no ``errstate`` and scan no ``isfinite``.
+    inst = gen_random_instance(64, 5, 1000.0)
+    calls = []
+    errstate, isfinite = np.errstate, np.isfinite
+    monkeypatch.setattr(np, "errstate", lambda **kw: calls.append("errstate") or errstate(**kw))
+    monkeypatch.setattr(np, "isfinite",
+                        lambda *args: calls.append("isfinite") or isfinite(*args))
+    config = HybridConfig(leaf_solver=LeafSolver.BRUTE_FORCE, metric=MetricMode.CANONICAL)
+    _, _, stats = solve_hybrid(inst, config)
+    assert len(stats.leaf_sizes) > 10
+    assert calls == ["errstate", "isfinite"]
 
 def test_solve_hybrid_memory_is_linear_in_the_cities():
     # An n x n float64 matrix of 2000 cities alone takes 32 MB.

@@ -5,12 +5,13 @@ with explicit raises.  One test keeps ``assert`` out of the package source;
 three others run invariant triggers (the cluster split, the K-means inertia
 and the stitch) in an optimized interpreter.  Another keeps environment reads (``os.environ``,
 ``os.getenv``) out of the package, so no hidden knob changes what a run does.
-The last ones hold the package to what the benchmark in ``perfbench/`` calls
-and traces, so dropping or renaming such a function fails here, not only
-under ``perfbench/run.py --trace 1``.
+The last ones hold the package to what the benchmark in ``perfbench/`` imports,
+reads, calls and traces, so dropping or renaming such a name fails here, not
+only under ``perfbench/run.py --trace 1``.
 """
 
 import ast
+import contextlib
 import importlib
 import inspect
 import os
@@ -74,9 +75,10 @@ except tsplib.InvariantError as exc:
 STITCH_TRIGGER = """
 from qacotsp import hybrid, tsplib
 assert False, "assert statements must be stripped under -O"
-hybrid._merge_two_cycles = lambda a, b, inst, metric: (a + b[1:], 0.0)  # drops a city
+hybrid._merge_two_cycles = lambda a, b, dist: (a + b[1:], 0.0)  # drops a city
 try:
-    hybrid.stitch([[0, 1], [2, 3]], tsplib.gen_random_instance(4, 0), tsplib.MetricMode.PLAIN)
+    hybrid.stitch([[0, 1], [2, 3]],
+                  tsplib.Distances(tsplib.gen_random_instance(4, 0), tsplib.MetricMode.PLAIN))
 except tsplib.InvariantError as exc:
     print("raised:", exc)
 """
@@ -127,3 +129,37 @@ def test_benchmark_call_signatures():
     params = inspect.signature(qaco.qaco_solve).parameters
     assert {"inst", "indices", "metric", "D"} <= set(params)
     inspect.signature(bench.run_single).bind("inst", "solver", 0, "noise", "metric")
+
+
+def perfbench_names() -> list:
+    """Every ``qacotsp`` name a ``perfbench/*.py`` script imports, or reads as an
+    attribute of such an import (``tsplib.sub_distance_matrix``, ``cli.main``),
+    read through the AST without importing perfbench."""
+    names = set()
+    for path in sorted((SRC.parent / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qacotsp":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name, alias.name) for alias in node.names
+                                if alias.name.split(".")[0] == "qacotsp")
+        names.update(imported.values())
+        names.update(f"{imported[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in imported)
+    return sorted(names)
+
+
+@pytest.mark.parametrize("name", perfbench_names())
+def test_perfbench_name_is_in_the_package(name):
+    parts = name.split(".")
+    obj = importlib.import_module(parts[0])
+    for depth, part in enumerate(parts[1:], start=2):
+        if inspect.ismodule(obj) and not hasattr(obj, part):
+            with contextlib.suppress(ModuleNotFoundError):  # a submodule not imported yet
+                importlib.import_module(".".join(parts[:depth]))
+        assert hasattr(obj, part), f"perfbench uses {name}, which qacotsp no longer has"
+        obj = getattr(obj, part)

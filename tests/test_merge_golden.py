@@ -26,6 +26,7 @@ from qacotsp import hybrid
 from qacotsp.bench import resolve_instance
 from qacotsp.hybrid import HybridConfig, LeafSolver, Refinement, _merge_two_cycles, solve_hybrid
 from qacotsp.tsplib import (
+    Distances,
     Instance,
     MetricMode,
     distance_matrix,
@@ -104,7 +105,7 @@ def test_merge_matches_the_reference_on_every_size_pair(data_dir):
         D = distance_matrix(inst, metric)
         rng = np.random.default_rng(len(D))
         for a, b in _cycle_pairs(len(D), rng):
-            merged, added = _merge_two_cycles(list(a), list(b), inst, metric)
+            merged, added = _merge_two_cycles(list(a), list(b), Distances(inst, metric))
             want, want_added = reference_merge(list(a), list(b), D)
             assert (merged, added.hex()) == (want, want_added.hex()), (name, a, b)
             merges += 1
@@ -119,7 +120,7 @@ LATTICE_TIES = [([3], [7]), ([0], [1, 2, 3]), ([1, 2, 3], [0]), ([5], [0, 1, 2, 
 def test_one_city_cycles_on_lattice_ties(a, b):
     # on a lattice many one-city insertions cost the same
     D = distance_matrix(lattice(3), MetricMode.PLAIN)
-    merged, added = _merge_two_cycles(list(a), list(b), lattice(3), MetricMode.PLAIN)
+    merged, added = _merge_two_cycles(list(a), list(b), Distances(lattice(3), MetricMode.PLAIN))
     want, want_added = reference_merge(list(a), list(b), D)
     assert (merged, added.hex()) == (want, want_added.hex())
 
@@ -129,9 +130,9 @@ def merges_of_a_1000_city_solve(metric, monkeypatch):
     against the reference; returns the (len a, len b) of each."""
     calls = []
 
-    def recording_merge(a, b, inst, metric):
+    def recording_merge(a, b, dist):
         inputs = (list(a), list(b))
-        merged, added = _merge_two_cycles(a, b, inst, metric)
+        merged, added = _merge_two_cycles(a, b, dist)
         calls.append((*inputs, merged, added))
         return merged, added
 
@@ -163,7 +164,8 @@ def test_merge_blocks_keep_the_first_minimum(block, monkeypatch):
     monkeypatch.setattr(hybrid, "MERGE_BLOCK", block)
     D = distance_matrix(lattice(3), MetricMode.PLAIN)
     for a, b in LATTICE_TIES:
-        merged, added = _merge_two_cycles(list(a), list(b), lattice(3), MetricMode.PLAIN)
+        merged, added = _merge_two_cycles(list(a), list(b),
+                                          Distances(lattice(3), MetricMode.PLAIN))
         want, want_added = reference_merge(list(a), list(b), D)
         assert (merged, added.hex()) == (want, want_added.hex()), (a, b)
     sizes = merges_of_a_1000_city_solve(MetricMode.CANONICAL, monkeypatch)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qacotsp.hybrid import _merge_two_cycles, stitch, two_opt
 from qacotsp.tsplib import (
+    Distances,
     MetricMode,
     Tour,
     cycle_length,
@@ -42,7 +43,7 @@ def test_merge_two_cycles_reports_the_added_length(case, data):
     inst, metric, D, order = case
     split = data.draw(st.integers(1, len(order) - 1))
     a, b = list(order[:split]), list(order[split:])
-    merged, added = _merge_two_cycles(a, b, inst, metric)
+    merged, added = _merge_two_cycles(a, b, Distances(inst, metric))
     assert sorted(merged) == sorted(order)
     merged_length = cycle_length(D, merged)
     expected = merged_length - cycle_length(D, a) - cycle_length(D, b)
@@ -61,7 +62,7 @@ def test_stitch_returns_a_permutation_of_the_union(case, data):
         k = data.draw(st.integers(1, min(4, size - start)))
         cycles.append(data.draw(st.permutations(order[start:start + k])))
         start += k
-    assert sorted(stitch(cycles, inst, metric)) == sorted(order[:size])
+    assert sorted(stitch(cycles, Distances(inst, metric))) == sorted(order[:size])
 
 
 @SETTINGS
@@ -69,6 +70,6 @@ def test_stitch_returns_a_permutation_of_the_union(case, data):
 def test_two_opt_never_returns_a_longer_tour(case, max_passes):
     inst, metric, D, order = case
     before = cycle_length(D, order)
-    out = two_opt(Tour(tuple(order)), inst, metric, max_passes=max_passes)
+    out = two_opt(Tour(tuple(order)), Distances(inst, metric), max_passes=max_passes)
     assert validate_tour(out.order, len(order))
     assert cycle_length(D, out.order) <= before + REL_TOL * max(1.0, before)

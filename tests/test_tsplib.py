@@ -2,6 +2,7 @@ import math
 import os
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qacotsp.tsplib import (
     DimensionMismatch,
+    Distances,
     IndexOutOfRange,
     Instance,
     InvalidCount,
@@ -20,13 +22,12 @@ from qacotsp.tsplib import (
     NonNumericCoordinate,
     Tour,
     UnsupportedEdgeWeightType,
-    check_distances,
+    cycle_length,
     distance,
     distance_matrix,
     format_instance,
     gen_random_instance,
     load_instance,
-    pair_distances,
     parse_instance,
     save_instance,
     sub_distance_matrix,
@@ -152,7 +153,7 @@ def test_subset_distance_matrix_equals_the_cut_out_one(data_dir):
             for k in range(1, min(40, inst.dimension) + 1):
                 for _ in range(3):
                     idx = rng.choice(inst.dimension, size=k, replace=False).tolist()
-                    sub = distance_matrix(inst, mode, indices=idx)
+                    sub = distance_matrix(inst, mode, ids=idx)
                     assert sub.tobytes() == sub_distance_matrix(D, idx).tobytes(), (inst.name, idx)
 
 
@@ -268,7 +269,7 @@ def test_distance_matrix_refuses_distances_that_overflow(mode):
 
 
 def reference_distance_matrix(inst, mode):
-    """The full matrix as computed before distances came from ``pair_distances``."""
+    """The full matrix as computed before distances came from ``Distances``."""
     xy = inst.coords
     if mode is MetricMode.PLAIN or inst.edge_weight_type == "EUC_2D":
         diff = xy[:, None, :] - xy[None, :, :]
@@ -298,6 +299,8 @@ KERNEL_INSTANCES = [load_instance(DATA_DIR / "ulysses16.tsp"),
                     gen_random_instance(60, 9, 10.0), geo_instance(45, 2)]
 MATRICES = {(inst.name, mode): distance_matrix(inst, mode)
             for inst in KERNEL_INSTANCES for mode in MetricMode}
+DISTANCES = {(inst.name, mode): Distances(inst, mode)
+             for inst in KERNEL_INSTANCES for mode in MetricMode}
 
 
 def test_distance_matrix_equals_the_reference(data_dir):
@@ -315,21 +318,28 @@ def test_property_pair_distances_equal_the_matrix_entries(which, mode, data):
     # numpy's cos and arccos run SIMD loops with scalar tails, so every
     # shape is compared: a scalar pair, 1-D pairs of lengths 1-40, and blocks.
     inst = KERNEL_INSTANCES[which]
-    D = MATRICES[inst.name, mode]
+    D, dist = MATRICES[inst.name, mode], DISTANCES[inst.name, mode]
     city = st.integers(0, inst.dimension - 1)
     i, j = data.draw(city), data.draw(city)
-    assert pair_distances(inst, mode, i, j).tobytes() == D[i, j].tobytes()
-    assert pair_distances(inst, mode, i, i).tobytes() == np.float64(0.0).tobytes()
+    assert dist.pairs(i, j).tobytes() == D[i, j].tobytes()
+    assert dist.pairs(i, i).tobytes() == np.float64(0.0).tobytes()
     size = data.draw(st.integers(1, 40))
     I = np.array(data.draw(st.lists(city, min_size=size, max_size=size)))
     J = np.array(data.draw(st.lists(city, min_size=size, max_size=size)))
-    assert pair_distances(inst, mode, I, J).tobytes() == D[I, J].tobytes()
+    assert dist.pairs(I, J).tobytes() == D[I, J].tobytes()
     # symmetric, which the merge's and 2-opt's reused distances rely on
-    assert pair_distances(inst, mode, J, I).tobytes() == D[I, J].tobytes()
-    assert pair_distances(inst, mode, I, I).tobytes() == np.zeros(size).tobytes()
+    assert dist.pairs(J, I).tobytes() == D[I, J].tobytes()
+    assert dist.pairs(I, I).tobytes() == np.zeros(size).tobytes()
     rows = np.array(data.draw(st.lists(city, min_size=1, max_size=12)))
-    got = pair_distances(inst, mode, rows[:, None], J[None, :])
+    got = dist.pairs(rows[:, None], J[None, :])
     assert got.tobytes() == D[np.ix_(rows, J)].tobytes()
+    # a matrix over some cities, from the full set's positions or from a
+    # ``Distances`` over just those cities, whose positions are theirs
+    ids = np.array(data.draw(st.lists(city, max_size=12, unique=True)), dtype=int)
+    want = D[np.ix_(ids, ids)]
+    for got in dist.matrix(ids), Distances(inst, mode, ids).matrix():
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert dist.cycle_length(ids).hex() == cycle_length(D, ids.tolist()).hex()
 
 
 FAR_APART = [
@@ -350,14 +360,55 @@ REFUSED = {("far", "canonical"), ("far", "plain"), ("geo-far", "canonical"),
 @pytest.mark.parametrize("inst", FAR_APART, ids=lambda inst: inst.name)
 @pytest.mark.parametrize("mode", list(MetricMode))
 def test_check_distances_refuses_what_the_matrix_refuses(inst, mode):
+    # ``Distances`` checks once, on construction, what the reference matrix shows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_distance_matrix(inst, mode)
+    assert np.isfinite(want).all() == ((inst.name, mode.value) not in REFUSED)
     if (inst.name, mode.value) in REFUSED:
         with pytest.raises(NonFiniteDistance, match=inst.name):
             distance_matrix(inst, mode)
         with pytest.raises(NonFiniteDistance, match=inst.name):
-            check_distances(inst, mode)
+            Distances(inst, mode)
     else:
-        distance_matrix(inst, mode)
-        check_distances(inst, mode)
+        assert distance_matrix(inst, mode).tobytes() == want.tobytes()
+        assert Distances(inst, mode).matrix().tobytes() == want.tobytes()
+
+
+SUBSETS = [("far", [0, 2]), ("far", [2, 0]), ("far", [1, 2]), ("far", [1]), ("far", []),
+           ("wide", [0, 1]), ("wide", [3, 2, 1, 0]), ("geo-far", [0, 2]), ("geo-far", [1]),
+           ("geo-wide", [0, 1]), ("geo-wide", [2, 1])]
+
+
+@pytest.mark.parametrize("name, ids", SUBSETS, ids=str)
+@pytest.mark.parametrize("mode", list(MetricMode))
+def test_distances_over_some_cities_refuse_only_their_own_overflow(name, ids, mode):
+    inst = next(inst for inst in FAR_APART if inst.name == name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_distance_matrix(inst, mode)[np.ix_(ids, ids)]
+    # a city whose radians overflow is refused even alone, where the
+    # reference's zero diagonal hides the NaN
+    if not np.isfinite(want).all() or (name, ids, mode.value) == ("geo-far", [1], "canonical"):
+        with pytest.raises(NonFiniteDistance, match=name):
+            Distances(inst, mode, ids)
+        with pytest.raises(NonFiniteDistance, match=name):
+            distance_matrix(inst, mode, ids)
+    else:
+        for got in Distances(inst, mode, ids).matrix(), distance_matrix(inst, mode, ids):
+            assert got.shape == (len(ids), len(ids)) and got.tobytes() == want.tobytes()
+
+
+def test_parse_allocates_nothing_for_coordinate_lines_it_does_not_get():
+    # DIMENSION alone must not size an array: 2,000,000 rows would take 32 MB.
+    text = ("NAME : big\nTYPE : TSP\nDIMENSION : 2000000\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+            "NODE_COORD_SECTION\n1 0 0\n2 3 0\n3 0 4\nEOF\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match="DIMENSION 2000000 but 3 coordinate lines"):
+            parse_instance(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_format_parse_roundtrip():
