@@ -30,11 +30,9 @@ bit for bit:
   and runs the same numpy sum, cumulative sum and ``searchsorted``;
 * the random draws are unchanged.  ``rng.integers(k)`` draws the start,
   then each move with two or more candidates reads one uniform for the q0
-  gate and one more on exploration.  A generator's scalar ``random()``
-  calls equal one ``random(m)`` call, and each ant's generator, built from
+  gate and one more on exploration.  Each ant's generator, built from
   (seed, iteration, ant), is dropped after its walk, so ``_construct``
-  draws all 2 * (k - 2) uniforms the walk may need at once and leaves the
-  unused ones.
+  draws all 2 * (k - 2) uniforms the walk may need at once (``draws.py``).
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .circuit_error import (
 )
 from .hybrid import HybridConfig, LeafSolver, solve_hybrid
 from .qaco import QacoParams
-from .qsim import NoiseKind, NoiseSpec
+from .qsim import NO_NOISE, NoiseKind, NoiseSpec
 from .tsplib import (
     Instance,
     InvariantError,
@@ -109,8 +109,8 @@ def parse_metric(name: str) -> MetricMode:
 
 
 def parse_noise(kind: str, rate: float) -> NoiseSpec:
-    noise_kind = choose(kind, {k.value: k for k in NoiseKind}, "noise kind")
-    return NoiseSpec(noise_kind, rate if noise_kind is not NoiseKind.NONE else 0.0)
+    noise = NoiseSpec(choose(kind, {k.value: k for k in NoiseKind}, "noise kind"), rate)
+    return noise if noise.kind is not NoiseKind.NONE else NO_NOISE  # its rate checked too
 
 
 def run_single(inst: Instance, solver: str, seed: int, noise: NoiseSpec,

@@ -8,12 +8,9 @@ quantum register can encode.
 Vassilvitskii, 2007) picks the next seed of every restart from one (R, n)
 block, and each Lloyd iteration (Lloyd, 1982) updates every restart still
 moving from one (R, k, n) distance block.  Every restart keeps its own
-generator and makes the same draws, in the same order, as it would alone.
-The seeding's weighted draw repeats the steps numpy takes inside
-``Generator.choice(n, p=...)``: a cumulative sum normalized by its last
-entry, searched for one ``random()``.  ``tests/test_kmeans_golden.py`` pins
-that identity against ``choice`` itself, and pins every result against a
-frozen one-restart-at-a-time K-means.
+generator and makes the same draws, in the same order, as it would alone
+(the seeding's is ``draws.choice_index``).  ``tests/test_kmeans_golden.py``
+pins every result against a frozen one-restart-at-a-time K-means.
 """
 
 from __future__ import annotations
@@ -23,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tsplib import Instance, InvariantError
+from .draws import choice_index
+from .tsplib import Instance, InvariantError, city_ids
 
 LLOYD_MAX_ITER = 100  # Lloyd iterations per K-means restart, unless centroids settle first
 
@@ -93,19 +91,6 @@ def _squared_distances(xy, centroids) -> np.ndarray:
     return np.add(d[0], d[1], out=d[0])
 
 
-def _draw(probs, u) -> np.ndarray:
-    """Index drawn from each row of ``probs`` by that row's uniform ``u``.
-
-    These are numpy's own steps for ``Generator.choice(n, p=row)``, which
-    draws one ``random()``: normalize the row's cumulative sum by its last
-    entry and search it for ``u`` to the right.  The count of entries <= u
-    is that search's index, since the cumulative sum never decreases.
-    """
-    cdf = probs.cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    return np.count_nonzero(cdf <= u[:, None], axis=1)
-
-
 def _kmeanspp(xy, k, rngs) -> np.ndarray:
     """K-means++ seeds of every restart at once, as (R, k, 2) centroids."""
     n = xy.shape[1]
@@ -117,7 +102,7 @@ def _kmeanspp(xy, k, rngs) -> np.ndarray:
         uniform = total <= 0.0
         probs = np.divide(d2, total[:, None], out=np.full_like(d2, 1.0 / n),
                           where=~uniform[:, None])
-        centroids[:, j] = xy[:, _draw(probs, np.array([rng.random() for rng in rngs]))].T
+        centroids[:, j] = xy[:, choice_index(probs, np.array([rng.random() for rng in rngs]))].T
         d2 = np.minimum(d2, _squared_distances(xy, centroids[:, j:j + 1])[:, 0])
     return centroids
 
@@ -156,7 +141,7 @@ def kmeans(points, k: int, restarts: int = 10, seed=None) -> ClusterAssignment:
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     n = len(points)
     xy = np.ascontiguousarray(points.T)
-    # Generator(PCG64(child)) is what default_rng(child) builds, at half the cost
+    # default_rng(child) at half the cost (see draws.py)
     rngs = [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(restarts)]
     centroids = _kmeanspp(xy, k, rngs)
     weights = np.tile(xy, restarts)  # x and y of every point, once per restart
@@ -209,8 +194,8 @@ def kmeans(points, k: int, restarts: int = 10, seed=None) -> ClusterAssignment:
 
 
 def centroid_of(inst: Instance, indices) -> tuple:
-    """Arithmetic mean of the coordinates of the given cities."""
-    idx = np.asarray(list(indices), dtype=int)
+    """Arithmetic mean of the coordinates of the given cities (``tsplib.city_ids``)."""
+    idx = city_ids(list(indices), inst.dimension)
     if idx.size == 0:
         raise EmptySet("cannot take the centroid of an empty set")
     x, y = inst.coords[idx].mean(axis=0)

@@ -29,11 +29,8 @@ the measurement, then, if the code is infeasible, the repair's
 the pool is empty) or one ``rng.random()`` (the Hamming rule).  Once stalled
 it draws, per ant, one ``rng.random(1 + m)`` call for the mutation angle and
 the ancilla's measurement, then ``rng.integers(2k)`` only when the ancilla
-reads 1.  The rotation draws nothing.  ``rng`` is a ``qsim.DrawReplay``
-over the PCG64 generator that ``default_rng(seed)`` would build: it reads
-the generator's raw words in blocks and returns what each of these
-``Generator`` calls would, so the order and number of draws, and every
-value, are those of the calls above.
+reads 1.  The rotation draws nothing.  ``rng`` is a ``draws.DrawReplay``,
+which returns what each of these calls on ``default_rng(seed)`` would.
 """
 
 from __future__ import annotations
@@ -46,11 +43,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .draws import DrawReplay
 from .qsim import (
     NO_NOISE,
     THETA_MAX,
     THETA_MIN,
-    DrawReplay,
     NoiseSpec,
     code_from_draws,
     draws_per_qubit,
@@ -322,14 +319,13 @@ def maybe_mutate(code: int, n_bits: int, noise: NoiseSpec,
     ancilla; if the measured ancilla reads 1, one uniformly chosen bit is
     flipped (the Pauli-X analog on the sampled path).  The caller applies
     the stall gate.  One ``rng.random(1 + draws_per_qubit(noise))`` call
-    draws the angle and then the ancilla's measurement draws: numpy's
-    ``uniform(0, pi/2)`` is ``0.0 + (pi/2) * random()``, which equals
-    ``(pi/2) * random()`` bit for bit.  The ancilla's probability of
-    reading 1 is ``measurement_probabilities`` of that one angle; without
-    noise the ancilla reads 1 when its draw is below it, and under noise
-    ``code_from_draws`` decides.  Only when the ancilla reads 1 does
-    ``rng.integers(n_bits)`` pick the bit to flip.  ``rng`` is a numpy
-    ``Generator`` or a ``qsim.DrawReplay``; the result is an ``int``.
+    draws the angle, ``uniform(0, pi/2)`` as ``(pi/2) * random()`` (see
+    ``draws.py``), and then the ancilla's measurement draws.  The ancilla's
+    probability of reading 1 is ``measurement_probabilities`` of that one
+    angle; without noise the ancilla reads 1 when its draw is below it, and
+    under noise ``code_from_draws`` decides.  Only when the ancilla reads 1
+    does ``rng.integers(n_bits)`` pick the bit to flip.  ``rng`` is a numpy
+    ``Generator`` or a ``draws.DrawReplay``; the result is an ``int``.
     """
     m = draws_per_qubit(noise)
     draws = rng.random(1 + m)
@@ -377,7 +373,7 @@ def qaco_solve(inst: Instance, indices, params: QacoParams = QacoParams(),
         length = cycle_length(D, tour.order)
         return QacoResult(tour, length, 0, [length], 0, 0)
 
-    rng = DrawReplay(np.random.PCG64(seed))
+    rng = DrawReplay(seed)
     n_bits = 2 * k
     tours = _decode_table(k)
     lengths = [None if t is None else cycle_length(D, t.order) for t in tours]

@@ -184,11 +184,10 @@ def code_from_draws(draws, p1, q1, noise: NoiseSpec) -> int:
     (later items are ignored), in a fixed draw order: the after-gate noise
     array, then the pre-measurement flip array (bit flip) or the dephasing
     array (thermal), then the measurement array, each indexed by qubit.
-    Callers take them from one ``rng.random(n * m)`` call; numpy's doubles
-    come one per generator step, so that call draws what m ``rng.random(n)``
-    calls would.  Two bit flips cancel; a thermal reset leaves |0>, which
-    reads 0; dephasing flips the sign of the |1> amplitude and so never
-    changes the outcome, but its array is still drawn.
+    Callers take them from one ``rng.random(n * m)`` call (see ``draws.py``).
+    Two bit flips cancel; a thermal reset leaves |0>, which reads 0;
+    dephasing flips the sign of the |1> amplitude and so never changes the
+    outcome, but its array is still drawn.
     """
     probs = p1
     if noise.rate > 0.0:
@@ -205,96 +204,6 @@ def code_from_draws(draws, p1, q1, noise: NoiseSpec) -> int:
     for r, p in zip(draws, probs):
         code += code + (r < p)  # (code << 1) | bit
     return code
-
-
-class DrawReplay:
-    """numpy's ``Generator`` draws over a PCG64 bit generator, from raw words.
-
-    ``random(n)``, ``random()``, ``integers(n)`` (1 <= n <= 2^32) and
-    ``permutation(k)`` return, in Python types, exactly what the same calls
-    on ``np.random.Generator(bitgen)`` would, in the same order, but take
-    the words from ``bitgen.random_raw`` in blocks of ``BLOCK`` (O'Neill
-    2014).  These are numpy's own steps:
-
-    * a double is ``(w >> 11) * 2**-53`` of the next 64-bit word ``w``;
-    * ``next_uint32`` returns the low half of a fresh word and keeps the
-      high half for the next 32-bit draw (``has_uint32`` and ``uinteger``
-      in the state dict); a doubles draw leaves the kept half alone;
-    * ``integers(n)`` is Lemire's (2019) method on ``next_uint32``: draw
-      ``m = u * n`` and redraw while ``m mod 2^32 < 2^32 mod n``; the value
-      is ``m >> 32``.  ``integers(1)`` draws nothing;
-    * ``permutation(k)`` shuffles ``arange(k)`` from the end (Fisher-Yates):
-      index ``i`` swaps with ``j = random_interval(i)``, ``next_uint32``
-      masked to the smallest ``2^b - 1 >= i`` and redrawn while above ``i``.
-
-    The replay starts from the bit generator's state, the kept half
-    included, and reads words ahead of use: ``bitgen`` ends up to a block
-    past what the draws consumed, so it must not be drawn from again.
-    """
-
-    BLOCK = 2048
-
-    def __init__(self, bitgen: np.random.BitGenerator):
-        state = bitgen.state
-        if state["bit_generator"] != "PCG64":
-            raise TypeError(f"replay needs a PCG64 bit generator, got {state['bit_generator']}")
-        self._raw = bitgen.random_raw
-        self._has_half = state["has_uint32"]
-        self._half = state["uinteger"]
-        self._words = np.empty(0, dtype=np.uint64)
-        self._doubles = []
-        self._pos = 0
-
-    def _take(self, n: int) -> int:
-        """Position of the next ``n`` words, which count as drawn."""
-        pos = self._pos
-        if pos + n > len(self._doubles):
-            fresh = self._raw(max(self.BLOCK, n))
-            self._words = np.concatenate((self._words[pos:], fresh))
-            self._doubles = self._doubles[pos:] + ((fresh >> 11) * 2.0 ** -53).tolist()
-            pos = 0
-        self._pos = pos + n
-        return pos
-
-    def random(self, n=None):
-        """A float for ``n`` None, else a list of ``n`` floats."""
-        pos = self._pos
-        end = pos + (1 if n is None else n)
-        if end > len(self._doubles):
-            pos = self._take(end - pos)
-        else:
-            self._pos = end
-        return self._doubles[pos] if n is None else self._doubles[pos:pos + n]
-
-    def _next_uint32(self) -> int:
-        if self._has_half:
-            self._has_half = 0
-            return self._half
-        pos = self._take(1)
-        word = int(self._words[pos])
-        self._has_half, self._half = 1, word >> 32
-        return word & 0xFFFFFFFF
-
-    def integers(self, n: int) -> int:
-        if not 1 <= n <= 1 << 32:
-            raise ValueError(f"replayed integers(n) needs 1 <= n <= 2**32, got {n}")
-        if n == 1:
-            return 0
-        m = self._next_uint32() * n
-        threshold = (1 << 32) % n
-        while m & 0xFFFFFFFF < threshold:
-            m = self._next_uint32() * n
-        return m >> 32
-
-    def permutation(self, k: int) -> list:
-        order = list(range(k))
-        for i in range(k - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = self._next_uint32() & mask
-            while j > i:
-                j = self._next_uint32() & mask
-            order[i], order[j] = order[j], order[i]
-        return order
 
 
 def noisy_sample(thetas, noise: NoiseSpec, rng: np.random.Generator) -> str:

@@ -288,6 +288,19 @@ def _geo_radians(coords: np.ndarray) -> np.ndarray:
     return _GEO_PI * (deg + 5.0 * minutes / 3.0) / 180.0
 
 
+def city_ids(ids, n: int) -> np.ndarray:
+    """``ids`` as an int array; ``IndexOutOfRange`` unless each is an integer in 0..n-1."""
+    values = np.asarray(ids)
+    bad = ~((values >= 0) & (values < n))  # true for NaN too
+    if not bad.any():
+        idx = values.astype(int)
+        bad = idx != values
+    if bad.any():
+        raise IndexOutOfRange(f"city ids must be integers in 0..{n - 1}, "
+                              f"got {values[bad][0].item()!r}")
+    return idx
+
+
 # Entries of one block of the row-chunked overflow scan in ``Distances``.
 _SCAN_BLOCK = 1 << 16
 
@@ -295,8 +308,9 @@ _SCAN_BLOCK = 1 << 16
 class Distances:
     """The distances between an instance's cities under one metric, on demand.
 
-    Covers all cities, or just the cities ``ids`` in their given order; the
-    methods take positions among the covered cities.  Construction derives,
+    Covers all cities, or just the cities ``ids`` in their given order,
+    refused by ``city_ids`` unless each is an integer in 0..n-1; the methods
+    take positions among the covered cities.  Construction derives,
     once, the two coordinates the formula reads, ``u`` and ``v``: x and y,
     or under the canonical GEO metric latitude and longitude in radians.  It
     then raises ``NonFiniteDistance`` if two covered cities lie so far apart
@@ -307,7 +321,7 @@ class Distances:
     def __init__(self, inst: Instance, mode: MetricMode, ids=None):
         self.mode = mode
         self.geo = mode is MetricMode.CANONICAL and inst.edge_weight_type == "GEO"
-        self.ids = np.arange(inst.dimension) if ids is None else np.asarray(ids, dtype=int)
+        self.ids = np.arange(inst.dimension) if ids is None else city_ids(ids, inst.dimension)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             points = inst.coords[self.ids]
             if self.geo:

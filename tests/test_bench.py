@@ -615,6 +615,18 @@ def test_cli_bad_random_instance_exits_2_before_writing(command, message, tmp_pa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("kind", ["none", "bitflip", "thermal"])
+def test_cli_noise_rate_out_of_range_exits_2_before_any_solve(kind, tmp_path, capsys,
+                                                               monkeypatch):
+    # the rate is checked whatever the kind, also when no noise is applied
+    _forbid_solves(monkeypatch)
+    out = tmp_path / "runs"
+    assert cli.main(["solve", "--instance", "random:8:5:100", "--noise", kind, "--rate", "5",
+                     "--seeds", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: noise rate must be in [0, 1], got 5.0\n"
+
+
 @pytest.mark.parametrize("solver", list(bench.SOLVERS))
 @pytest.mark.parametrize("instance", ["random:8:5:1e200", "far.tsp"])
 def test_cli_distances_that_overflow_exit_2_before_writing(instance, solver, tmp_path,

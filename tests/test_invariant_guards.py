@@ -4,7 +4,8 @@
 with explicit raises.  One test keeps ``assert`` out of the package source;
 three others run invariant triggers (the cluster split, the K-means inertia
 and the stitch) in an optimized interpreter.  Another keeps environment reads (``os.environ``,
-``os.getenv``) out of the package, so no hidden knob changes what a run does.
+``os.getenv``) out of the package, so no hidden knob changes what a run does,
+and another keeps raw PCG64 word reads (``random_raw``) in ``draws.py``.
 The last ones hold the package to what the benchmark in ``perfbench/`` imports,
 reads, calls and traces, so dropping or renaming such a name fails here, not
 only under ``perfbench/run.py --trace 1``.
@@ -46,6 +47,18 @@ def test_no_environment_knobs(path):
              or (isinstance(node, ast.ImportFrom) and node.module == "os"
                  and any(alias.name in ENV_READS for alias in node.names))]
     assert not lines, f"{path.name} reads the environment on lines {lines}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "draws.py"],
+                         ids=lambda p: p.name)
+def test_only_draws_reads_raw_words(path):
+    # draws.py is the one module that re-derives numpy's draws from raw PCG64 words
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "random_raw")
+             or (isinstance(node, ast.Name) and node.id == "random_raw")
+             or (isinstance(node, ast.Constant) and node.value == "random_raw")]
+    assert not lines, f"{path.name} reads random_raw on lines {lines}; draws.py owns it"
 
 
 TRIGGER = """

@@ -7,10 +7,8 @@ must return the same labels, centroids, inertia (as a hex float) and
 inertia history, bit for bit, on random, integer-grid, collinear, clumped
 and all-coincident points.  The last three make the empty-cluster reseed
 fire; ``RESEEDS`` counts it, so the tests can show the branch was taken.
-
-The K-means++ draw is checked on its own against ``Generator.choice``,
-because the code under test repeats numpy's steps for a weighted draw
-instead of calling it.
+The K-means++ draw, ``draws.choice_index``, is checked on its own against
+``Generator.choice`` in ``test_draws.py``.
 """
 
 import numpy as np
@@ -151,28 +149,3 @@ def test_cluster_tree_matches_the_reference(spec, data_dir, monkeypatch):
     got = shape(build_cluster_tree(inst, seed=0))
     monkeypatch.setattr(cluster, "kmeans", reference_kmeans)
     assert got == shape(build_cluster_tree(inst, seed=0))
-
-
-def weight_cases():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 3, 7, 64, 129, 1000):
-        one_hot = np.zeros(n)
-        one_hot[int(rng.integers(n))] = 1.0
-        yield one_hot
-        yield np.full(n, 1.0 / n)
-        yield rng.integers(0, 30, size=n).astype(float) ** 2 + (np.arange(n) == 0)
-        for scale in (1e-8, 1.0, 1e8):
-            yield rng.uniform(0.0, 1.0, size=n) * scale
-
-
-def test_weighted_draw_is_generator_choice():
-    """``cluster._draw`` takes the index ``Generator.choice(n, p=probs)`` takes."""
-    for case, weights in enumerate(weight_cases()):
-        probs = weights / weights.sum()
-        via_choice = np.random.default_rng(case)
-        via_draw = np.random.default_rng(case)
-        for _ in range(3):
-            want = via_choice.choice(len(probs), p=probs)
-            got = cluster._draw(probs[None, :], np.array([via_draw.random()]))
-            assert got.tolist() == [want]
-        assert via_choice.random() == via_draw.random()

@@ -22,7 +22,8 @@ from qacotsp.qaco import (
     repair_infeasible,
     rotation_update,
 )
-from qacotsp.qsim import NO_NOISE, THETA_MAX, THETA_MIN, DrawReplay, NoiseKind, NoiseSpec
+from qacotsp.draws import DrawReplay
+from qacotsp.qsim import NO_NOISE, THETA_MAX, THETA_MIN, NoiseKind, NoiseSpec
 from qacotsp.tsplib import Instance, MetricMode, Tour, gen_random_instance, validate_tour
 
 
@@ -318,8 +319,7 @@ def test_kernels_return_ints_from_both_draw_sources(noise):
     pool = SolutionPool()
     for order, length in (((1, 0, 2, 3), 2.0), ((3, 2, 0, 1), 1.0)):
         pool.add(Tour(order), encode_tour(Tour(order), 4), length)
-    gen, twin = np.random.default_rng(9), np.random.default_rng(9)
-    replay = DrawReplay(twin.bit_generator)
+    gen, replay = np.random.default_rng(9), DrawReplay(9)
     for trial in range(300):
         for source in (gen, replay):
             code = 0b11111111 ^ trial % 7

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qacotsp.qaco import rotation_update
 from qacotsp.qsim import (
@@ -12,7 +10,6 @@ from qacotsp.qsim import (
     THETA_MIN,
     AngleOutOfRange,
     NO_NOISE,
-    DrawReplay,
     NoiseKind,
     NoiseSpec,
     QubitOutOfRange,
@@ -308,25 +305,8 @@ def test_statevector_cap():
 
 
 # ---------------------------------------------------------------------------
-# numpy draw identities the QACO kernel relies on: each lets it draw the same
-# numbers in fewer generator calls
-
-
-def test_uniform_angle_is_scaled_random():
-    for seed in range(200):
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(50):
-            assert a.uniform(0.0, math.pi / 2.0) == (math.pi / 2.0) * b.random()
-        assert a.bit_generator.state == b.bit_generator.state
-
-
-@pytest.mark.parametrize("n", [1, 8])
-def test_consecutive_random_arrays_are_one_call(n):
-    for seed in range(50):
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        parts = [a.random(n).tolist() for _ in range(3)]
-        assert sum(parts, []) == b.random(3 * n).tolist()
-        assert a.bit_generator.state == b.bit_generator.state
+# one noisy measurement is code_from_draws of one random(n * m) call; the
+# numpy identities behind it are checked in test_draws.py
 
 
 @pytest.mark.parametrize("n", [1, 8])
@@ -345,47 +325,3 @@ def test_sample_code_is_code_from_one_draw(n, kind, rate):
             expected = code_from_draws(b.random(n * m).tolist(), p1, q1, noise)
             assert noisy_sample(row, noise, a) == format(expected, f"0{n}b")
         assert a.bit_generator.state == b.bit_generator.state
-
-
-# ---------------------------------------------------------------------------
-# the draw replay against numpy's own Generator: same values, same order,
-# same consumption, from any numpy version the package allows
-
-BLOCK = DrawReplay.BLOCK
-CALLS = st.one_of(
-    st.tuples(st.just("random"), st.none() | st.integers(0, 9)
-              | st.integers(BLOCK - 9, BLOCK + 9)),
-    # 2**31 + 1 and 2**32 - 1 reject often; 1 draws nothing; 2**32 never rejects
-    st.tuples(st.just("integers"), st.sampled_from([1, 2, 3, 6, 8, 2 ** 31 + 1,
-                                                    2 ** 32 - 1, 2 ** 32])),
-    st.tuples(st.just("permutation"), st.integers(1, 8)),
-)
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(seed=st.integers(0, 2 ** 64 - 1), kept_half=st.booleans(),
-       calls=st.lists(CALLS, max_size=60))
-def test_property_replay_equals_generator(seed, kept_half, calls):
-    gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    if kept_half:  # one 32-bit draw leaves the high half of its word kept
-        assert gen.integers(8) == twin.integers(8)
-        assert twin.bit_generator.state["has_uint32"] == 1
-    replay = DrawReplay(twin.bit_generator)
-    for name, arg in calls:
-        expected = getattr(gen, name)(*(() if arg is None else (arg,)))
-        got = getattr(replay, name)(*(() if arg is None else (arg,)))
-        if isinstance(expected, np.ndarray):
-            assert type(got) is list and got == expected.tolist(), (name, arg)
-        else:
-            assert type(got) is type(expected.item() if name == "integers" else expected)
-            assert got == expected, (name, arg)
-    assert replay.random() == gen.random()  # the same number of draws was taken
-
-
-def test_replay_refuses_what_it_cannot_replay():
-    with pytest.raises(TypeError, match="PCG64"):
-        DrawReplay(np.random.MT19937(0))
-    replay = DrawReplay(np.random.PCG64(0))
-    for n in (0, -1, 2 ** 32 + 1):
-        with pytest.raises(ValueError, match="integers"):
-            replay.integers(n)

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qacotsp.aco import aco_solve
+from qacotsp.cluster import centroid_of
+from qacotsp.qaco import qaco_solve
 from qacotsp.tsplib import (
     DimensionMismatch,
     Distances,
@@ -159,8 +162,36 @@ def test_subset_distance_matrix_equals_the_cut_out_one(data_dir):
 
 def test_distance_index_out_of_range():
     inst = parse_instance(MINIMAL_3)
-    with pytest.raises(IndexOutOfRange):
-        distance(inst, 0, 3, MetricMode.PLAIN)
+    for j in (3, -1):
+        with pytest.raises(IndexOutOfRange):
+            distance(inst, 0, j, MetricMode.PLAIN)
+
+
+# city ids that are no integer in 0..n-1 (n = 3): a negative id would wrap to
+# the last cities, a fractional one would be truncated
+BAD_IDS = [[0, 3], [0, -1], [-3], [0, 1.7], [0, math.nan], [0, math.inf]]
+
+
+@pytest.mark.parametrize("ids", BAD_IDS, ids=str)
+@pytest.mark.parametrize("refuse", [
+    lambda inst, ids: distance_matrix(inst, MetricMode.PLAIN, ids),
+    lambda inst, ids: Distances(inst, MetricMode.CANONICAL, ids),
+    centroid_of,
+], ids=["distance_matrix", "Distances", "centroid_of"])
+def test_city_ids_that_are_no_integer_in_range_are_refused(refuse, ids):
+    with pytest.raises(IndexOutOfRange, match=r"integers in 0\.\.2"):
+        refuse(parse_instance(MINIMAL_3), ids)
+
+
+@pytest.mark.parametrize("solve", [qaco_solve, aco_solve], ids=lambda f: f.__name__)
+def test_solvers_refuse_a_negative_city_id(solve):
+    with pytest.raises(IndexOutOfRange, match="got -1"):
+        solve(gen_random_instance(4, 0, 100.0), [0, 1, 2, -1])
+
+
+def test_an_integral_float_city_id_is_that_city():
+    inst = parse_instance(MINIMAL_3)
+    assert distance_matrix(inst, MetricMode.PLAIN, [0, 2.0]).tolist() == [[0.0, 4.0], [4.0, 0.0]]
 
 
 def geo_reference(c1, c2):
