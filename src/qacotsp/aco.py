@@ -27,12 +27,16 @@ bit for bit:
   row that holds a NaN gets an infinite bound, so it always takes this
   fallback: ``np.argmax`` picks the first NaN, which a ranking cannot place;
 * an exploration step gathers the candidates' weights in ascending order
-  and runs the same numpy sum, cumulative sum and ``searchsorted``;
+  and calls ``np.add.reduce`` and ``np.add.accumulate``, the ufuncs that
+  ``sum`` and ``cumsum`` run, and the same ``searchsorted``;
 * the random draws are unchanged.  ``rng.integers(k)`` draws the start,
   then each move with two or more candidates reads one uniform for the q0
-  gate and one more on exploration.  Each ant's generator, built from
-  (seed, iteration, ant), is dropped after its walk, so ``_construct``
-  draws all 2 * (k - 2) uniforms the walk may need at once (``draws.py``).
+  gate and one more on exploration.  Each ant's generator starts where
+  ``default_rng(seed words + [iteration, ant])`` would:
+  ``draws.seeded_generators`` hashes the rows of a block of ants at once and
+  re-seeds one generator per solve before each ant.  The ant drops it after
+  its walk, so ``_construct`` draws all 2 * (k - 2) uniforms the walk may
+  need at once (``draws.py``).
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .draws import seeded_generators
 from .tsplib import (
     Instance,
     InvalidTour,
@@ -160,15 +165,15 @@ def next_node(W: np.ndarray, ranked: list, current: int, free: bytearray, left: 
                 return city
         avail = np.frombuffer(free, dtype=bool)
         return int(np.where(avail, W[current], -np.inf).argmax())
-    avail = np.frombuffer(free, dtype=bool)
-    gathered = W[current][avail]
-    total = gathered.sum()
+    cities = np.frombuffer(free, dtype=bool).nonzero()[0]
+    gathered = W[current].take(cities)
+    total = np.add.reduce(gathered)
     if total <= 0.0:
-        gathered = np.ones_like(gathered)
-        total = gathered.sum()
-    cdf = gathered.cumsum()
-    pick = int(cdf.searchsorted(next(draws) * total, side="right"))
-    return int(avail.nonzero()[0][min(pick, left - 1)])
+        gathered = np.ones(left)
+        total = np.add.reduce(gathered)
+    cdf = np.add.accumulate(gathered)
+    pick = cdf.searchsorted(next(draws) * total, side="right")
+    return cities.item(min(pick, left - 1))
 
 
 def _construct(W: np.ndarray, ranked: list, q0: float, rng) -> tuple:
@@ -211,7 +216,9 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
 
     Returns (best Tour in local positions, best length, per-iteration
     global-best history).  Per-ant random streams are derived from
-    (seed, iteration, ant), so results do not depend on scheduling.
+    (seed, iteration, ant), so results do not depend on scheduling; ``seed``
+    is a non-negative int or a list or tuple of them, and any other word
+    raises ``TypeError`` before the first ant.
     ``initial_tour`` seeds the incumbent (used by the tour-polishing
     refinement stage); ``D`` lets callers pass a precomputed local matrix.
     Raises ``NonFiniteWeights`` before the first ant of an iteration whose
@@ -240,6 +247,8 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
         best_tour = initial_tour
         best_len = cycle_length(D, initial_tour.order)
 
+    rngs = seeded_generators(seed_words + [it, ant] for it in range(1, params.iterations + 1)
+                             for ant in range(params.n_ants))
     history = []
     for it in range(1, params.iterations + 1):
         W = _weights(tau, eta_beta, params.alpha)
@@ -249,9 +258,8 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
             if not finite.all():
                 raise NonFiniteWeights(f"non-finite weights off the diagonal at iteration {it}")
         ranked = _rank(W)
-        for ant in range(params.n_ants):
-            rng = np.random.default_rng(seed_words + [it, ant])
-            order = _construct(W, ranked, params.q0, rng)
+        for _ in range(params.n_ants):
+            order = _construct(W, ranked, params.q0, next(rngs))
             length = cycle_length(D, order)
             if length < best_len:
                 best_tour, best_len = Tour(order), length

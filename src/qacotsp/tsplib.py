@@ -371,8 +371,11 @@ class Distances:
         return d
 
     def matrix(self, ids=None) -> np.ndarray:
-        """The symmetric matrix over all covered positions, or over ``ids`` in their order."""
-        pos = np.arange(len(self.u)) if ids is None else np.asarray(ids, dtype=int)
+        """The symmetric matrix over all covered positions, or over positions ``ids`` in order.
+
+        ``city_ids`` refuses an id that is no integer position.
+        """
+        pos = np.arange(len(self.u)) if ids is None else city_ids(ids, len(self.u))
         return self.pairs(pos[:, None], pos[None, :])
 
     def cycle_length(self, cycle) -> float:
@@ -399,10 +402,12 @@ def distance(inst: Instance, i: int, j: int, mode: MetricMode = MetricMode.CANON
 
     CANONICAL applies the TSPLIB reference formula for the instance's edge
     weight type; PLAIN is unrounded Euclidean distance on the raw coordinates.
+    ``IndexOutOfRange`` unless i and j are integers in 0..n-1, as ``city_ids``.
     """
     n = inst.dimension
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexOutOfRange(f"city index out of range for n={n}: ({i}, {j})")
+    if not (0 <= i < n and 0 <= j < n and i == int(i) and j == int(j)):  # NaN fails the range
+        raise IndexOutOfRange(f"city ids must be integers in 0..{n - 1}, got ({i}, {j})")
+    i, j = int(i), int(j)
     if i == j:
         return 0.0
     (x1, y1), (x2, y2) = inst.coords[i], inst.coords[j]

@@ -241,3 +241,15 @@ def test_initial_tour_must_cover_the_cities():
     for start in (Tour((0, 1, 2)), Tour(tuple(range(7)))):
         with pytest.raises(InvalidTour):
             aco_solve(inst, range(6), AcoParams(iterations=2), initial_tour=start)
+
+
+@pytest.mark.parametrize("seed", [1.5, [0, np.float64(2.0)], -1, [3, -2 ** 40]], ids=str)
+def test_a_seed_default_rng_refuses_is_refused_before_the_first_ant(seed):
+    # each ant's generator was default_rng(seed words + [iteration, ant])
+    words = list(seed) if isinstance(seed, list) else [seed]
+    with pytest.raises((TypeError, ValueError)) as refused:
+        np.random.default_rng(words + [1, 0])
+    with mock.patch.object(aco, "_construct", side_effect=AssertionError("an ant walked")):
+        with pytest.raises(refused.type):
+            aco_solve(gen_random_instance(5, 0, 100.0), range(5), AcoParams(iterations=2),
+                      seed=seed)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from qacotsp import aco, hybrid
 from qacotsp.aco import AcoParams, EmptyAllowedSet
 from qacotsp.bench import resolve_instance
+from qacotsp.draws import SEED_BLOCK
 from qacotsp.hybrid import HybridConfig, LeafSolver, Refinement, solve_hybrid
 from qacotsp.tsplib import (
     Distances,
@@ -241,6 +242,25 @@ def test_subset_and_tuple_seed_words(data_dir):
     for seed in ([0, 0], (4, 2), [7, 1, 9]):
         assert_same_solves(inst, indices, params=params, seed=seed, metric=PLAIN, D=D)
         assert_same_solves(inst, indices, params=params, seed=seed, metric=PLAIN)
+
+
+@pytest.mark.parametrize("seed, params", [
+    (2 ** 32, AcoParams(iterations=30)),
+    ([2 ** 64 + 5, 3], AcoParams(iterations=30)),
+    ([7, 1, 9], AcoParams(iterations=30)),
+    (4, AcoParams(iterations=150)),
+    ([0, 2], AcoParams(n_ants=5, iterations=170)),
+], ids=["word>=2^32", "words>=2^64", "three-words", "blocks", "blocks-mid-iteration"])
+def test_seed_words_and_seed_blocks(seed, params, data_dir):
+    # The ants' generators are seeded SEED_BLOCK rows at a time from one hash:
+    # seed words that split into several 32-bit words, rows of more than 4
+    # words, and 900 and 850 ants, two full blocks and a part (with 5 ants a
+    # block ends inside an iteration).
+    if params.iterations > 30:
+        assert 2 * SEED_BLOCK < params.iterations * params.n_ants < 3 * SEED_BLOCK
+    inst = load_instance(data_dir / "eil51.tsp")
+    assert_same_solves(inst, [3, 17, 22, 40, 8, 30, 12, 45], params=params, seed=seed,
+                       metric=PLAIN)
 
 
 def test_initial_tour_polish(data_dir):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qacotsp.draws import DrawReplay, choice_index
+from qacotsp.draws import SEED_BLOCK, DrawReplay, choice_index, seeded_generators
 
 # ---------------------------------------------------------------------------
 # the replay against default_rng(seed): same values, same order, same
@@ -51,6 +51,45 @@ def test_property_replay_equals_generator(seed, calls):
     assert replay.random() == gen.random()
 
 
+# ---------------------------------------------------------------------------
+# the batched seeding against default_rng(row): the same PCG64 state, then the
+# same draws, also where the generator it re-seeds holds a kept 32-bit half
+
+WORDS = st.one_of(st.sampled_from([0, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5]),
+                  st.integers(0, 2 ** 70))
+ROWS = st.lists(st.lists(WORDS, min_size=1, max_size=7), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rows=ROWS, k=st.integers(2, 2 ** 31), n=st.integers(1, 5))
+@example(rows=[[0], [2 ** 32], [2 ** 64 + 5, 0, 2 ** 31], [2 ** 32 - 1] * 7], k=8, n=3)
+def test_property_seeded_generators_equal_default_rng(rows, k, n):
+    for row, gen in zip(rows, seeded_generators(rows), strict=True):
+        expected = np.random.default_rng(row)
+        assert gen.bit_generator.state == expected.bit_generator.state, row
+        # integers(k) keeps a 32-bit half, which the next row's state must clear
+        assert gen.integers(k) == expected.integers(k)
+        assert gen.random(n).tolist() == expected.random(n).tolist()
+        assert gen.bit_generator.state == expected.bit_generator.state
+
+
+def test_seeded_generators_across_seed_blocks():
+    # two full blocks and a part, rows of two widths in each block
+    rows = [[7, it, ant] if it % 5 else [7, 2 ** 40 + it, ant]
+            for it in range(1, 2 * SEED_BLOCK // 6 + 3) for ant in range(6)]
+    assert 2 * SEED_BLOCK < len(rows) < 3 * SEED_BLOCK
+    states = [gen.bit_generator.state for gen in seeded_generators(rows)]
+    assert states == [np.random.default_rng(row).bit_generator.state for row in rows]
+
+
+@pytest.mark.parametrize("row", [[1.5], [0, np.float64(2.0)], [-1], [3, -2 ** 40]], ids=str)
+def test_seeding_refuses_what_default_rng_refuses(row):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        np.random.default_rng(row)
+    with pytest.raises(expected.type):
+        next(seeded_generators([[0], row]))  # before the first generator
+
+
 def test_replay_refuses_what_it_cannot_replay():
     replay = DrawReplay(0)
     for n in (0, -1, 2 ** 32 + 1):
@@ -85,6 +124,26 @@ def test_weighted_draw_is_generator_choice():
             got = choice_index(probs[None, :], np.array([via_draw.random()]))
             assert got.tolist() == [want]
         assert via_choice.bit_generator.state == via_draw.bit_generator.state
+
+
+def test_weighted_draw_normalizes_a_row_that_does_not_sum_to_one():
+    """A row summing to 1 +- 1 to 64 ulps, with the draw between a raw and a normalized
+    cumulative entry: only the division by the row's last cumulative entry picks right."""
+    boundary_cases = 0
+    for seed in range(40):
+        u = np.random.default_rng(seed).random()
+        for ulps in (1, 2, 3, 8, 64):
+            for sign in (-1.0, 1.0):
+                for first in (u, np.nextafter(u, 2.0), np.nextafter(np.nextafter(u, 2.0), 2.0)):
+                    probs = np.array([first, 1.0 - first + sign * ulps * 2.0 ** -53])
+                    raw = probs.cumsum()
+                    if np.count_nonzero(raw <= u) == np.count_nonzero(raw / raw[-1] <= u):
+                        continue  # normalizing moves no entry across the draw
+                    boundary_cases += 1
+                    want = np.random.default_rng(seed).choice(2, p=probs)
+                    got = choice_index(probs[None, :], np.array([u]))
+                    assert got.tolist() == [want], (seed, ulps, sign, first)
+    assert boundary_cases >= 100
 
 
 # ---------------------------------------------------------------------------

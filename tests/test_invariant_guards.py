@@ -5,7 +5,8 @@ with explicit raises.  One test keeps ``assert`` out of the package source;
 three others run invariant triggers (the cluster split, the K-means inertia
 and the stitch) in an optimized interpreter.  Another keeps environment reads (``os.environ``,
 ``os.getenv``) out of the package, so no hidden knob changes what a run does,
-and another keeps raw PCG64 word reads (``random_raw``) in ``draws.py``.
+and two keep raw PCG64 word reads (``random_raw``) and bit-generator state
+writes (``.state = ...``) in ``draws.py``.
 The last ones hold the package to what the benchmark in ``perfbench/`` imports,
 reads, calls and traces, so dropping or renaming such a name fails here, not
 only under ``perfbench/run.py --trace 1``.
@@ -59,6 +60,23 @@ def test_only_draws_reads_raw_words(path):
              or (isinstance(node, ast.Name) and node.id == "random_raw")
              or (isinstance(node, ast.Constant) and node.value == "random_raw")]
     assert not lines, f"{path.name} reads random_raw on lines {lines}; draws.py owns it"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "draws.py"],
+                         ids=lambda p: p.name)
+def test_only_draws_sets_generator_states(path):
+    # draws.py is the one module that seeds a bit generator by writing its state
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    targets = [t for node in ast.walk(tree)
+               if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+               for t in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    lines = [t.lineno for target in targets for t in ast.walk(target)
+             if isinstance(t, ast.Attribute) and t.attr == "state"]
+    lines += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value == "state"]
+    assert not lines, f"{path.name} sets a generator state on lines {lines}; draws.py owns it"
 
 
 TRIGGER = """

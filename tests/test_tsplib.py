@@ -176,8 +176,10 @@ BAD_IDS = [[0, 3], [0, -1], [-3], [0, 1.7], [0, math.nan], [0, math.inf]]
 @pytest.mark.parametrize("refuse", [
     lambda inst, ids: distance_matrix(inst, MetricMode.PLAIN, ids),
     lambda inst, ids: Distances(inst, MetricMode.CANONICAL, ids),
+    lambda inst, ids: Distances(inst, MetricMode.PLAIN).matrix(ids),
+    lambda inst, ids: distance(inst, ids[0], ids[-1], MetricMode.PLAIN),
     centroid_of,
-], ids=["distance_matrix", "Distances", "centroid_of"])
+], ids=["distance_matrix", "Distances", "Distances.matrix", "distance", "centroid_of"])
 def test_city_ids_that_are_no_integer_in_range_are_refused(refuse, ids):
     with pytest.raises(IndexOutOfRange, match=r"integers in 0\.\.2"):
         refuse(parse_instance(MINIMAL_3), ids)
