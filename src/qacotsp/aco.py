@@ -28,25 +28,24 @@ bit for bit:
   fallback: ``np.argmax`` picks the first NaN, which a ranking cannot place;
 * an exploration step gathers the candidates' weights in ascending order
   and calls ``np.add.reduce`` and ``np.add.accumulate``, the ufuncs that
-  ``sum`` and ``cumsum`` run, and the same ``searchsorted``;
-* the random draws are unchanged.  ``rng.integers(k)`` draws the start,
-  then each move with two or more candidates reads one uniform for the q0
-  gate and one more on exploration.  Each ant's generator starts where
-  ``default_rng(seed words + [iteration, ant])`` would:
-  ``draws.seeded_generators`` hashes the rows of a block of ants at once and
-  re-seeds one generator per solve before each ant.  The ant drops it after
-  its walk, so ``_construct`` draws all 2 * (k - 2) uniforms the walk may
-  need at once (``draws.py``).
+  ``sum`` and ``cumsum`` run, and the same ``searchsorted``.
+
+One generator, ``np.random.default_rng(seed words)``, serves the ants of a
+solve in turn.  Each ant draws ``rng.integers(k)`` for its start, then one
+``rng.random(2 * (k - 2))`` for its k - 2 moves with two or more candidates;
+such a move reads the next of those uniforms for the q0 gate and one more on
+exploration.  The count is fixed whatever the walk reads, so an ant's draws
+depend only on the seed and its place in the order of ants.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .draws import seeded_generators
 from .tsplib import (
     Instance,
     InvalidTour,
@@ -215,10 +214,12 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
     """Run the full ant colony loop on a subset of cities.
 
     Returns (best Tour in local positions, best length, per-iteration
-    global-best history).  Per-ant random streams are derived from
-    (seed, iteration, ant), so results do not depend on scheduling; ``seed``
-    is a non-negative int or a list or tuple of them, and any other word
-    raises ``TypeError`` before the first ant.
+    global-best history).  ``seed`` is a non-negative int or a list or tuple
+    of them; any other seed, ``None`` included, raises ``TypeError`` or
+    ``ValueError`` before any work.  The ants of every iteration draw in
+    turn from one ``np.random.default_rng(seed words)``, each a fixed number
+    of draws, so the first M iterations of a solve do not depend on
+    ``iterations``.
     ``initial_tour`` seeds the incumbent (used by the tour-polishing
     refinement stage); ``D`` lets callers pass a precomputed local matrix.
     Raises ``NonFiniteWeights`` before the first ant of an iteration whose
@@ -229,8 +230,12 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
     if k < 2:
         raise ValueError("need at least 2 cities")
     seed_words = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    try:  # None too: default_rng(None) would draw OS entropy, not a reproducible stream
+        seed_words = [operator.index(w) for w in seed_words]
+    except TypeError:
+        raise TypeError(f"seed must be an int or a list or tuple of ints, got {seed!r}") from None
     if any(w < 0 for w in seed_words):
-        raise ValueError("seed words must be non-negative")
+        raise ValueError(f"seed words must be non-negative, got {seed!r}")
     if params.iterations < (0 if initial_tour is not None else 1):
         raise ValueError("iterations must be >= 1, or >= 0 with an initial tour")
     if initial_tour is not None and len(initial_tour) != k:
@@ -247,8 +252,7 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
         best_tour = initial_tour
         best_len = cycle_length(D, initial_tour.order)
 
-    rngs = seeded_generators(seed_words + [it, ant] for it in range(1, params.iterations + 1)
-                             for ant in range(params.n_ants))
+    rng = np.random.default_rng(seed_words)
     history = []
     for it in range(1, params.iterations + 1):
         W = _weights(tau, eta_beta, params.alpha)
@@ -259,7 +263,7 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
                 raise NonFiniteWeights(f"non-finite weights off the diagonal at iteration {it}")
         ranked = _rank(W)
         for _ in range(params.n_ants):
-            order = _construct(W, ranked, params.q0, next(rngs))
+            order = _construct(W, ranked, params.q0, rng)
             length = cycle_length(D, order)
             if length < best_len:
                 best_tour, best_len = Tour(order), length

@@ -330,7 +330,7 @@ def maybe_mutate(code: int, n_bits: int, noise: NoiseSpec,
     m = draws_per_qubit(noise)
     draws = rng.random(1 + m)
     half = (math.pi / 2.0) * draws[0] / 2.0
-    a0, a1 = float(np.cos(half)), float(np.sin(half))
+    a0, a1 = math.cos(half), math.sin(half)
     c2, s2 = a0 * a0, a1 * a1
     p1 = s2 / (c2 + s2)
     if m == 1:

@@ -153,14 +153,15 @@ def measurement_probabilities(thetas):
 
     Returns two lists of floats: ``p1`` for the qubits as prepared and ``q1``
     for the qubits after a net X (cos and sin amplitudes swapped), both as
-    a1^2 / (a0^2 + a1^2).  The amplitudes come from numpy's cos and sin, and
-    squares are taken as ``x * x``, which is what numpy's array ``a ** 2``
-    computes; Python's ``x ** 2`` calls ``pow`` and can differ in the last
-    bit.
+    a1^2 / (a0^2 + a1^2).  The amplitudes come from ``math.cos`` and
+    ``math.sin``, which equal numpy's on the angles the solver reaches
+    (``draws.py``), and squares are taken as ``x * x``, which is what
+    numpy's array ``a ** 2`` computes; Python's ``x ** 2`` calls ``pow`` and
+    can differ in the last bit.
     """
     p1, q1 = [], []
     for theta in thetas:
-        a0, a1 = float(np.cos(theta / 2.0)), float(np.sin(theta / 2.0))
+        a0, a1 = math.cos(theta / 2.0), math.sin(theta / 2.0)
         c2, s2 = a0 * a0, a1 * a1
         p1.append(s2 / (c2 + s2))
         q1.append(c2 / (s2 + c2))

@@ -25,6 +25,7 @@ from qacotsp.tsplib import (
     InvalidTour,
     MetricMode,
     Tour,
+    cycle_length,
     distance_matrix,
     gen_random_instance,
     validate_tour,
@@ -243,13 +244,65 @@ def test_initial_tour_must_cover_the_cities():
             aco_solve(inst, range(6), AcoParams(iterations=2), initial_tour=start)
 
 
-@pytest.mark.parametrize("seed", [1.5, [0, np.float64(2.0)], -1, [3, -2 ** 40]], ids=str)
+@pytest.mark.parametrize("seed", [1.5, [0, np.float64(2.0)], -1, [3, -2 ** 40], "7", None,
+                                  np.array([1, 2])], ids=str)
 def test_a_seed_default_rng_refuses_is_refused_before_the_first_ant(seed):
-    # each ant's generator was default_rng(seed words + [iteration, ant])
+    # The solve's one generator is default_rng(seed words), and a seed it
+    # refuses keeps numpy's error class.  It would read ["7"] as [7] and
+    # flatten an array, and default_rng(None) draws OS entropy, so aco_solve
+    # refuses those with TypeError: none is a non-negative int or a list or
+    # tuple of them.
     words = list(seed) if isinstance(seed, list) else [seed]
-    with pytest.raises((TypeError, ValueError)) as refused:
-        np.random.default_rng(words + [1, 0])
-    with mock.patch.object(aco, "_construct", side_effect=AssertionError("an ant walked")):
-        with pytest.raises(refused.type):
+    try:
+        np.random.default_rng(words)
+        expected = TypeError
+    except (TypeError, ValueError) as refused:
+        expected = type(refused)
+    work = AssertionError("work began")
+    with mock.patch.object(aco, "distance_matrix", side_effect=work), \
+            mock.patch.object(aco, "_construct", side_effect=work):
+        with pytest.raises(expected, match="seed"):
             aco_solve(gen_random_instance(5, 0, 100.0), range(5), AcoParams(iterations=2),
                       seed=seed)
+
+
+def test_a_seed_and_its_one_word_list_or_tuple_solve_alike():
+    # seed 5, [5], (5,) and np.int64(5) are all the seed words [5]
+    inst = gen_random_instance(8, 2, 100.0)
+    params = AcoParams(n_ants=4, iterations=10)
+    runs = [aco_solve(inst, range(8), params, seed=seed, metric=MetricMode.PLAIN)
+            for seed in (5, [5], (5,), np.int64(5))]
+    for tour, length, history in runs[1:]:
+        assert (tour.order, length, history) == (runs[0][0].order, runs[0][1], runs[0][2])
+    words = aco_solve(inst, range(8), params, seed=(5, 1), metric=MetricMode.PLAIN)
+    assert words[2] == aco_solve(inst, range(8), params, seed=[5, 1],
+                                 metric=MetricMode.PLAIN)[2]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=st.integers(3, 12), inst_seed=st.integers(0, 2 ** 31 - 1),
+       seed=st.integers(0, 2 ** 64 - 1), n_ants=st.integers(1, 9), m=st.integers(1, 8),
+       extra=st.integers(1, 8), q0=st.sampled_from([0.0, 0.5, 0.9]))
+def test_property_early_iterations_do_not_depend_on_iterations(n, inst_seed, seed, n_ants, m,
+                                                               extra, q0):
+    # A solve of m iterations is the first m iterations of a longer one: the
+    # same history, and the first shortest of the tours its ants built.
+    inst = gen_random_instance(n, inst_seed, 100.0)
+    walks = []
+
+    def walk(*args):
+        walks.append(_construct(*args))
+        return walks[-1]
+
+    with mock.patch.object(aco, "_construct", side_effect=walk):
+        _, _, long_history = aco_solve(inst, range(n), AcoParams(n_ants=n_ants, q0=q0,
+                                                                 iterations=m + extra),
+                                       seed=seed, metric=MetricMode.PLAIN)
+    tour, length, history = aco_solve(inst, range(n), AcoParams(n_ants=n_ants, q0=q0,
+                                                                iterations=m),
+                                      seed=seed, metric=MetricMode.PLAIN)
+    assert history == long_history[:m]
+    D = distance_matrix(inst, MetricMode.PLAIN)
+    lengths = [cycle_length(D, order) for order in walks[:m * n_ants]]
+    assert tour.order == walks[lengths.index(min(lengths))]
+    assert length == min(lengths)

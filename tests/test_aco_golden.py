@@ -5,9 +5,13 @@ The reference section below is the code they replaced, copied verbatim:
 the pheromone floor and distance guard, ``init_pheromone``,
 ``heuristic_matrix``, ``next_node``, ``_construct``, ``construct_tour``,
 ``update_pheromone`` and the ``aco_solve`` loop from ``aco``, and
-``two_opt`` from ``hybrid``.  The new code keeps every random draw and every
-float operation of the reference, so tours, lengths and histories must be
-equal, not merely close.
+``two_opt`` from ``hybrid``.  Only the glue that feeds the reference its
+draws is new: one ``default_rng(seed words)`` per solve, from which each ant
+takes ``integers(k)`` and then a block of ``2 * (k - 2)`` uniforms, the
+fixed count ``aco._construct`` takes, while the reference walk reads them
+one move at a time.  The new code keeps every random draw and every float
+operation of the reference, so tours, lengths and histories must be equal,
+not merely close.
 """
 
 import dataclasses
@@ -21,7 +25,6 @@ from hypothesis import strategies as st
 from qacotsp import aco, hybrid
 from qacotsp.aco import AcoParams, EmptyAllowedSet
 from qacotsp.bench import resolve_instance
-from qacotsp.draws import SEED_BLOCK
 from qacotsp.hybrid import HybridConfig, LeafSolver, Refinement, solve_hybrid
 from qacotsp.tsplib import (
     Distances,
@@ -126,8 +129,7 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
     """Run the full ant colony loop on a subset of cities.
 
     Returns (best Tour in local positions, best length, per-iteration
-    global-best history).  Per-ant random streams are derived from
-    (seed, iteration, ant), so results do not depend on scheduling.
+    global-best history).  The ants draw in turn from one generator.
     ``initial_tour`` seeds the incumbent (used by the tour-polishing
     refinement stage); ``D`` lets callers pass a precomputed local matrix.
     """
@@ -149,10 +151,12 @@ def aco_solve(inst: Instance, indices, params: AcoParams = AcoParams(), seed: in
         best_tour = initial_tour
         best_len = cycle_length(D, initial_tour.order)
 
+    gen = np.random.default_rng(seed_words)
     history = []
     for it in range(1, params.iterations + 1):
         for ant in range(params.n_ants):
-            rng = np.random.default_rng(seed_words + [it, ant])
+            start = gen.integers(k)
+            rng = ScriptedRng(gen.random(2 * (k - 2)).tolist(), start)
             tour = _construct(D, tau, eta, params, rng)
             length = cycle_length(D, tour.order)
             if length < best_len:
@@ -252,12 +256,8 @@ def test_subset_and_tuple_seed_words(data_dir):
     ([0, 2], AcoParams(n_ants=5, iterations=170)),
 ], ids=["word>=2^32", "words>=2^64", "three-words", "blocks", "blocks-mid-iteration"])
 def test_seed_words_and_seed_blocks(seed, params, data_dir):
-    # The ants' generators are seeded SEED_BLOCK rows at a time from one hash:
-    # seed words that split into several 32-bit words, rows of more than 4
-    # words, and 900 and 850 ants, two full blocks and a part (with 5 ants a
-    # block ends inside an iteration).
-    if params.iterations > 30:
-        assert 2 * SEED_BLOCK < params.iterations * params.n_ants < 3 * SEED_BLOCK
+    # seed words that split into several 32-bit words, seeds of more than one
+    # word, and long solves whose 900 and 850 ants draw from one stream
     inst = load_instance(data_dir / "eil51.tsp")
     assert_same_solves(inst, [3, 17, 22, 40, 8, 30, 12, 45], params=params, seed=seed,
                        metric=PLAIN)
@@ -337,10 +337,15 @@ def test_update_pheromone_matches_reference():
 
 
 class ScriptedRng:
-    """Stands in for a Generator whose ``random()`` returns the given values in turn."""
+    """Stands in for a Generator whose ``random()`` returns the given values in turn
+    and whose ``integers(k)`` returns ``start``."""
 
-    def __init__(self, values):
+    def __init__(self, values, start=None):
         self._values = iter(values)
+        self._start = start
+
+    def integers(self, k):
+        return self._start
 
     def random(self):
         return next(self._values)

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qacotsp.draws import SEED_BLOCK, DrawReplay, choice_index, seeded_generators
+from qacotsp.draws import DrawReplay, choice_index
+from qacotsp.qaco import rotation_update
+from qacotsp.qsim import THETA_MAX
 
 # ---------------------------------------------------------------------------
 # the replay against default_rng(seed): same values, same order, same
@@ -49,45 +51,6 @@ def test_property_replay_equals_generator(seed, calls):
     # the same number of words and the same kept half were taken
     assert replay.integers(2 ** 32) == gen.integers(2 ** 32)
     assert replay.random() == gen.random()
-
-
-# ---------------------------------------------------------------------------
-# the batched seeding against default_rng(row): the same PCG64 state, then the
-# same draws, also where the generator it re-seeds holds a kept 32-bit half
-
-WORDS = st.one_of(st.sampled_from([0, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5]),
-                  st.integers(0, 2 ** 70))
-ROWS = st.lists(st.lists(WORDS, min_size=1, max_size=7), min_size=1, max_size=6)
-
-
-@settings(max_examples=200, deadline=None, database=None)
-@given(rows=ROWS, k=st.integers(2, 2 ** 31), n=st.integers(1, 5))
-@example(rows=[[0], [2 ** 32], [2 ** 64 + 5, 0, 2 ** 31], [2 ** 32 - 1] * 7], k=8, n=3)
-def test_property_seeded_generators_equal_default_rng(rows, k, n):
-    for row, gen in zip(rows, seeded_generators(rows), strict=True):
-        expected = np.random.default_rng(row)
-        assert gen.bit_generator.state == expected.bit_generator.state, row
-        # integers(k) keeps a 32-bit half, which the next row's state must clear
-        assert gen.integers(k) == expected.integers(k)
-        assert gen.random(n).tolist() == expected.random(n).tolist()
-        assert gen.bit_generator.state == expected.bit_generator.state
-
-
-def test_seeded_generators_across_seed_blocks():
-    # two full blocks and a part, rows of two widths in each block
-    rows = [[7, it, ant] if it % 5 else [7, 2 ** 40 + it, ant]
-            for it in range(1, 2 * SEED_BLOCK // 6 + 3) for ant in range(6)]
-    assert 2 * SEED_BLOCK < len(rows) < 3 * SEED_BLOCK
-    states = [gen.bit_generator.state for gen in seeded_generators(rows)]
-    assert states == [np.random.default_rng(row).bit_generator.state for row in rows]
-
-
-@pytest.mark.parametrize("row", [[1.5], [0, np.float64(2.0)], [-1], [3, -2 ** 40]], ids=str)
-def test_seeding_refuses_what_default_rng_refuses(row):
-    with pytest.raises((TypeError, ValueError)) as expected:
-        np.random.default_rng(row)
-    with pytest.raises(expected.type):
-        next(seeded_generators([[0], row]))  # before the first generator
 
 
 def test_replay_refuses_what_it_cannot_replay():
@@ -178,3 +141,34 @@ def test_default_rng_of_a_child_is_generator_of_pcg64(seed):
         assert a.integers(1000) == b.integers(1000)
         assert a.random(4).tolist() == b.random(4).tolist()
         assert a.bit_generator.state == b.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# math's cos and sin against numpy's on the half-angles the solvers reach
+
+
+def register_angles(steps):
+    """Every angle ``rotation_update`` reaches from pi/2 in at most ``steps`` sweeps."""
+    seen = frontier = {math.pi / 2.0}
+    for _ in range(steps):
+        frontier = {rotation_update([theta], x, b, worse)[0] for theta in frontier
+                    for x in (0, 1) for b in (0, 1) for worse in (False, True)} - seen
+        seen = seen | frontier
+    return seen
+
+
+def test_math_cos_and_sin_are_numpys_on_reachable_angles():
+    # register angles lie in [THETA_MIN, THETA_MAX], mutation angles (pi/2) * u
+    # in [0, pi/2); both functions take the cos and sin of half the angle
+    mutation = [(math.pi / 2.0) * u / 2.0
+                for u in np.random.default_rng(5).random(100_000).tolist()
+                + np.linspace(0.0, 1.0, 2 ** 16, endpoint=False).tolist()]
+    register = [theta / 2.0 for theta in sorted(register_angles(60))
+                + np.linspace(0.0, THETA_MAX, 200_001).tolist()]
+    assert len(register) > 215_000
+    for half in (mutation, register):
+        array = np.array(half)
+        for fn, np_fn in ((math.cos, np.cos), (math.sin, np.sin)):
+            want = [fn(x) for x in half]
+            assert np_fn(array).tolist() == want
+            assert [float(np_fn(x)) for x in half] == want

@@ -12,7 +12,7 @@ import json
 
 from qacotsp import cli
 
-GOLDEN_SHA256 = "64c2f9cfec2d25d53d36e79bd4f47711caba00b7a2e1804bffbacfca4fdef4a7"
+GOLDEN_SHA256 = "9db70aec82b9744e57bab108edce06764af69564090a50d827ea1deaddfbb4ca"
 
 
 def _config(tmp_path, name, payload):

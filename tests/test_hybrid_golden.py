@@ -20,7 +20,7 @@ from qacotsp.bench import resolve_instance
 from qacotsp.hybrid import HybridConfig, LeafSolver, Refinement, solve_hybrid
 from qacotsp.tsplib import MetricMode
 
-GOLDEN_SHA256 = "bea16e8b037f2aa2df2b19701689901ad4d6dc6aff46bc60040ee7ae4773e6f6"
+GOLDEN_SHA256 = "c0bde6705b852c54c2d1c6d015fb189e94fb41ed5f69de5350fc339e898d863d"
 
 CONFIGS = (
     dict(leaf_solver=LeafSolver.QACO, refinement=Refinement.TWO_OPT),
